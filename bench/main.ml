@@ -17,22 +17,6 @@
                   match exactly, cycles_per_second may not regress >2x
      --csv DIR    write each outcome as CSV *)
 
-let experiments : (string * (jobs:int option -> Experiments.outcome)) list =
-  [
-    ("fig11", fun ~jobs -> Experiments.fig11 ?jobs ());
-    ("fig12", fun ~jobs -> Experiments.fig12 ?jobs ());
-    ("fig13", fun ~jobs -> Experiments.fig13 ?jobs ());
-    ("fig14", fun ~jobs -> Experiments.fig14 ?jobs ());
-    ("fig15", fun ~jobs -> Experiments.fig15 ?jobs ());
-    ("fig16", fun ~jobs -> Experiments.fig16 ?jobs ());
-    ("table1", fun ~jobs -> Experiments.table1 ?jobs ());
-    ("table2", fun ~jobs -> Experiments.table2 ?jobs ());
-    ("ablation", fun ~jobs -> Ablation.experiment ?jobs ());
-    ("dse", fun ~jobs -> Dse.experiment ?jobs ());
-    ("dse-guided", fun ~jobs -> Dse.guided_experiment ?jobs ());
-    ("refine", fun ~jobs -> Refine.experiment ?jobs ());
-  ]
-
 (* Figure-style ASCII charts rendered next to the tables. *)
 (* Parse a "1.33x"-style ratio cell. [None] on anything malformed — a
    malformed cell must drop its row from the chart, not plot as a 0.0 bar
@@ -91,7 +75,7 @@ let timings : (string * float * int) list ref = ref []
 let run_experiment ?csv_dir ?jobs name f =
   let t0 = Unix.gettimeofday () in
   let c0 = Sim_meter.read () in
-  let outcome = f ~jobs in
+  let outcome = f ?jobs () in
   let dt = Unix.gettimeofday () -. t0 in
   let cycles = Sim_meter.read () - c0 in
   timings := (name, dt, cycles) :: !timings;
@@ -205,9 +189,7 @@ let staged_controller () =
   (* fig11/fig14 backbone: a full monitored, translated, offloaded run. *)
   let mem = Main_memory.create () in
   let machine = Kernel.prepare nn_small mem in
-  let report = Controller.run nn_small.Kernel.program machine in
-  Hierarchy.release report.Controller.hier;
-  Main_memory.release mem
+  ignore (Controller.run nn_small.Kernel.program machine)
 
 let staged_modulo_schedule () =
   (* fig12: OpenCGRA's modulo scheduler. *)
@@ -239,9 +221,7 @@ let staged_engine () =
   let mem = Main_memory.create () in
   let machine = Kernel.prepare nn_small mem in
   let hier = Hierarchy.create Hierarchy.default_config in
-  ignore (Engine.execute ~config ~dfg ~machine ~hier ());
-  Hierarchy.release hier;
-  Main_memory.release mem
+  ignore (Engine.execute ~config ~dfg ~machine ~hier ())
 
 let staged_mapper () =
   (* Algorithm 1, the latency-minimizing instruction mapping (fig16 pays
@@ -330,17 +310,17 @@ let () =
   in
   match args with
   | [] ->
-    List.iter (fun (name, f) -> run_experiment ?csv_dir ?jobs name f) experiments;
+    List.iter (fun (name, f) -> run_experiment ?csv_dir ?jobs name f) Experiment_registry.all;
     finish ();
     micro_benchmarks ()
   | [ "micro" ] -> micro_benchmarks ()
   | [ "list" ] ->
-    List.iter (fun (name, _) -> print_endline name) experiments;
+    List.iter (fun (name, _) -> print_endline name) Experiment_registry.all;
     print_endline "micro"
   | names ->
     List.iter
       (fun name ->
-        match List.assoc_opt name experiments with
+        match Experiment_registry.find name with
         | Some f -> run_experiment ?csv_dir ?jobs name f
         | None ->
           Printf.eprintf "unknown experiment %s (try: dune exec bench/main.exe -- list)\n"

@@ -616,47 +616,24 @@ let anneal_cmd =
 
 let bench_cmd =
   let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"fig11..fig16, table1, table2")
+    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
+            ~doc:"fig11..fig16, table1, table2 (the default set), ablation, dse, dse-guided, refine")
   in
   let run names =
-    let all = Experiments.all in
-    let chosen =
-      match names with
-      | [] -> List.map fst (all ()) |> fun _ -> None
-      | ns -> Some ns
+    let print (f : Experiment_registry.run) =
+      Tables.print (f ()).Experiments.table;
+      print_newline ()
     in
-    match chosen with
-    | None ->
-      List.iter
-        (fun (_, (o : Experiments.outcome)) ->
-          Tables.print o.Experiments.table;
-          print_newline ())
-        (all ());
+    match names with
+    | [] ->
+      List.iter (fun (_, f) -> print f) Experiment_registry.paper;
       Ok ()
-    | Some ns ->
-      let table = [
-        ("fig11", fun () -> Experiments.fig11 ());
-        ("fig12", fun () -> Experiments.fig12 ());
-        ("fig13", fun () -> Experiments.fig13 ());
-        ("fig14", fun () -> Experiments.fig14 ());
-        ("fig15", fun () -> Experiments.fig15 ());
-        ("fig16", fun () -> Experiments.fig16 ());
-        ("table1", fun () -> Experiments.table1 ());
-        ("table2", fun () -> Experiments.table2 ());
-        ("ablation", fun () -> Ablation.experiment ());
-        ("dse", fun () -> Dse.experiment ());
-        ("dse-guided", fun () -> Dse.guided_experiment ());
-        ("refine", fun () -> Refine.experiment ());
-      ]
-      in
+    | ns ->
       List.fold_left
         (fun acc n ->
           Result.bind acc (fun () ->
-              match List.assoc_opt n table with
-              | Some f ->
-                Tables.print (f ()).Experiments.table;
-                print_newline ();
-                Ok ()
+              match Experiment_registry.find n with
+              | Some f -> Ok (print f)
               | None -> Error (`Msg ("unknown experiment " ^ n))))
         (Ok ()) ns
   in

@@ -44,21 +44,16 @@ let run_variant ?(grid = Grid.m128) variant (k : Kernel.t) =
   let machine = Kernel.prepare k mem in
   let report = Controller.run ~options k.Kernel.program machine in
   let accel = Energy_model.accel_energy ~grid report.Controller.activity in
-  let m =
-    {
-      Runner.label = variant_name variant;
-      cycles = report.Controller.total_cycles;
-      energy_nj =
-        Energy_model.cpu_energy_nj report.Controller.cpu_summary
-        +. accel.Energy_model.total_nj
-        +. Energy_model.mesa_energy_nj ~busy_cycles:report.Controller.mesa_busy_cycles;
-      checked = k.Kernel.check mem;
-      stats = report.Controller.stats;
-    }
-  in
-  Hierarchy.release report.Controller.hier;
-  Main_memory.release mem;
-  m
+  {
+    Runner.label = variant_name variant;
+    cycles = report.Controller.total_cycles;
+    energy_nj =
+      Energy_model.cpu_energy_nj report.Controller.cpu_summary
+      +. accel.Energy_model.total_nj
+      +. Energy_model.mesa_energy_nj ~busy_cycles:report.Controller.mesa_busy_cycles;
+    checked = k.Kernel.check mem;
+    stats = report.Controller.stats;
+  }
 
 let default_kernels () =
   List.map Workloads.find [ "gaussian"; "kmeans"; "btree"; "bfs" ]

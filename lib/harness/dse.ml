@@ -217,13 +217,8 @@ let evaluate (p : point) =
     let mem = Main_memory.create () in
     let machine = Kernel.prepare k mem in
     let hier = Hierarchy.create (hier_config_of_point p) in
-    let finish out =
-      Hierarchy.release hier;
-      Main_memory.release mem;
-      out
-    in
     match Engine.execute ~config ~dfg ~machine ~hier () with
-    | Error e -> finish (rejected p e)
+    | Error e -> rejected p e
     | Ok res ->
       let cycles = max 1 res.Engine.cycles in
       let breakdown = Energy_model.accel_energy ~grid res.Engine.activity in
@@ -233,19 +228,18 @@ let evaluate (p : point) =
       let area_mm2 = Area_model.total_area_mm2 (Area_model.accelerator ~grid) in
       let perf = 1000.0 *. float_of_int res.Engine.iterations /. float_of_int cycles in
       let perf_per_watt = if power_w > 0.0 then perf /. power_w else 0.0 in
-      finish
-        {
-          point = p;
-          mapped = true;
-          reject = None;
-          cycles = res.Engine.cycles;
-          iterations = res.Engine.iterations;
-          energy_nj;
-          power_w;
-          area_mm2;
-          perf;
-          perf_per_watt;
-        })
+      {
+        point = p;
+        mapped = true;
+        reject = None;
+        cycles = res.Engine.cycles;
+        iterations = res.Engine.iterations;
+        energy_nj;
+        power_w;
+        area_mm2;
+        perf;
+        perf_per_watt;
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Pareto frontier over (perf, perf-per-watt), both maximized.         *)

@@ -47,6 +47,3 @@ val table1 : ?jobs:int -> unit -> outcome
 val table2 : ?jobs:int -> unit -> outcome
 (** Configuration-latency comparison across approaches; MESA's measured
     translation latency must fall in the 10^3-10^4 cycle band. *)
-
-val all : ?jobs:int -> unit -> (string * outcome) list
-(** Every experiment, in paper order. *)

@@ -12,7 +12,6 @@ let run ?(cores = 16) ?(fork_join_cycles = default_fork_join_cycles)
     let hier = Hierarchy.create Hierarchy.default_config in
     let machine = Kernel.prepare_slice k mem ~lo:0 ~hi:k.Kernel.n in
     let r = Cpu_run.run ~config:cpu ~hierarchy:hier k.Kernel.program machine in
-    Hierarchy.release hier;
     { cycles = r.Cpu_run.summary.Ooo_model.cycles; threads = 1; summaries = [ r.Cpu_run.summary ] }
   end
   else begin

@@ -40,19 +40,14 @@ let execute_once ?attribution ~(k : Kernel.t) ~dfg config =
   let mem = Main_memory.create () in
   let machine = Kernel.prepare k mem in
   let hier = Hierarchy.create Hierarchy.default_config in
-  let finish out =
-    Hierarchy.release hier;
-    Main_memory.release mem;
-    out
-  in
   match Engine.execute ?attribution ~config ~dfg ~machine ~hier () with
-  | Error e -> finish (Error e)
+  | Error e -> Error e
   | Ok res ->
-    if not res.Engine.completed then finish (Error "loop did not complete")
+    if not res.Engine.completed then Error "loop did not complete"
     else (
       match k.Kernel.check mem with
-      | Error e -> finish (Error ("output check failed: " ^ e))
-      | Ok () -> finish (Ok res))
+      | Error e -> Error ("output check failed: " ^ e)
+      | Ok () -> Ok res)
 
 let run_core ?(seed = 0) ?max_rounds ?beam ~kind ~grid ?baseline ?measured
     (k : Kernel.t) =

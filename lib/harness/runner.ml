@@ -21,17 +21,13 @@ let single_core (k : Kernel.t) =
   k.Kernel.setup mem;
   let machine = Kernel.prepare_slice k mem ~lo:0 ~hi:k.Kernel.n in
   let r = Cpu_run.run k.Kernel.program machine in
-  let m =
-    {
-      label = "1-core OoO";
-      cycles = r.Cpu_run.summary.Ooo_model.cycles;
-      energy_nj = Energy_model.cpu_energy_nj r.Cpu_run.summary;
-      checked = k.Kernel.check mem;
-      stats = summary_snapshot r.Cpu_run.summary;
-    }
-  in
-  Main_memory.release mem;
-  m
+  {
+    label = "1-core OoO";
+    cycles = r.Cpu_run.summary.Ooo_model.cycles;
+    energy_nj = Energy_model.cpu_energy_nj r.Cpu_run.summary;
+    checked = k.Kernel.check mem;
+    stats = summary_snapshot r.Cpu_run.summary;
+  }
 
 let multicore ?(cores = 16) (k : Kernel.t) =
   let mem = Main_memory.create () in
@@ -47,17 +43,13 @@ let multicore ?(cores = 16) (k : Kernel.t) =
       r.Multicore.summaries;
     Stats.snapshot reg
   in
-  let m =
-    {
-      label = Printf.sprintf "%d-core OoO" cores;
-      cycles = r.Multicore.cycles;
-      energy_nj = Energy_model.multicore_energy_nj r.Multicore.summaries;
-      checked = k.Kernel.check mem;
-      stats;
-    }
-  in
-  Main_memory.release mem;
-  m
+  {
+    label = Printf.sprintf "%d-core OoO" cores;
+    cycles = r.Multicore.cycles;
+    energy_nj = Energy_model.multicore_energy_nj r.Multicore.summaries;
+    checked = k.Kernel.check mem;
+    stats;
+  }
 
 let mesa ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true) ?mem_ports
     ?inject ?profile (k : Kernel.t) =
@@ -85,15 +77,7 @@ let mesa ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true) ?mem_ports
       stats = report.Controller.stats;
     }
   in
-  Main_memory.release mem;
   (m, report)
-
-(* [mesa] for callers that drop the report: the report's hierarchy is
-   recycled before returning, which keeps sweep loops off the allocator. *)
-let mesa_measure ?grid ?optimize ?iterative ?mem_ports ?inject ?profile k =
-  let m, report = mesa ?grid ?optimize ?iterative ?mem_ports ?inject ?profile k in
-  Hierarchy.release report.Controller.hier;
-  m
 
 (* ------------------------------------------------------------------ *)
 (* Translation memo. Building a kernel's hot-loop LDFG and running
@@ -251,7 +235,6 @@ let dynaspam ?(config = Dynaspam.default_config) (k : Kernel.t) =
     let machine = Kernel.prepare_slice k mem ~lo:0 ~hi:k.Kernel.n in
     let hier = Hierarchy.create Hierarchy.default_config in
     let r = Cpu_run.run ~config:fabric_cpu ~hierarchy:hier k.Kernel.program machine in
-    Hierarchy.release hier;
     let cycles = r.Cpu_run.summary.Ooo_model.cycles + 300 in
     let energy_nj =
       (* Same dynamic work minus the frontend/rename share, plus static
@@ -259,15 +242,11 @@ let dynaspam ?(config = Dynaspam.default_config) (k : Kernel.t) =
       (float_of_int cycles *. 0.175)
       +. ((base.energy_nj -. (float_of_int base.cycles *. 0.175)) *. 0.6)
     in
-    let m =
-      {
-        label = "DynaSpAM";
-        cycles;
-        energy_nj;
-        checked = k.Kernel.check mem;
-        stats = summary_snapshot r.Cpu_run.summary;
-      }
-    in
-    Main_memory.release mem;
-    m
+    {
+      label = "DynaSpAM";
+      cycles;
+      energy_nj;
+      checked = k.Kernel.check mem;
+      stats = summary_snapshot r.Cpu_run.summary;
+    }
   end

@@ -38,19 +38,6 @@ val mesa :
     collector, returned in [report.attribution] (timing stays
     bit-identical — see {!Profile.of_report}). *)
 
-val mesa_measure :
-  ?grid:Grid.t ->
-  ?optimize:bool ->
-  ?iterative:bool ->
-  ?mem_ports:int ->
-  ?inject:Fault.spec ->
-  ?profile:bool ->
-  Kernel.t ->
-  measurement
-(** {!mesa} for callers that only want the measurement: the report's cache
-    hierarchy is recycled ({!Hierarchy.release}) before returning, which
-    keeps sweep loops off the allocator. *)
-
 val dfg_of_kernel : Kernel.t -> Dfg.t
 (** The kernel's hot-loop LDFG, for the analytic baselines (OpenCGRA /
     DynaSpAM) and inspection. Raises [Failure] on kernels whose loop cannot

@@ -21,7 +21,7 @@ type outcome = Hit | Miss of { dirty_eviction : bool }
 
 (* Lines live in flat structure-of-arrays storage indexed by
    [set * ways + way] — a large L2 is three int arrays instead of hundreds
-   of thousands of little heap records, so creating (and recycling) a
+   of thousands of little heap records, so creating a
    hierarchy per measurement is cheap and lookups walk contiguous memory.
    [meta] packs the valid (bit 0) and dirty (bit 1) flags, which makes
    {!invalidate_all} a single fill. *)
@@ -125,11 +125,6 @@ let reset_stats t =
   t.hits <- 0;
   t.misses <- 0;
   t.writebacks <- 0
-
-let reset t =
-  invalidate_all t;
-  reset_stats t;
-  t.clock <- 0
 
 let register_stats t grp =
   Stats.int_probe grp "hits" (fun () -> t.hits);

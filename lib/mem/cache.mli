@@ -48,11 +48,6 @@ val hit_rate : t -> float
 
 val reset_stats : t -> unit
 
-val reset : t -> unit
-(** Restore the cache to its freshly-created state: every line invalid,
-    statistics and the internal LRU clock zeroed. Recycling a cache through
-    [reset] is indistinguishable from {!create}. *)
-
 val register_stats : t -> Stats.group -> unit
 (** Expose hits/misses/writebacks/accesses/hit_rate as snapshot-time probes
     under [grp]. *)

@@ -13,52 +13,16 @@ let default_config =
     l2_shared_penalty = 1;
   }
 
-(* [poolable] marks hierarchies whose caches are privately owned (built by
-   {!create}): only those may be parked for reuse — a {!create_shared}
-   member's L2 is aliased by its siblings. *)
-type t = {
-  cfg : config;
-  l1 : Cache.t;
-  l2 : Cache.t;
-  sharers : int;
-  poolable : bool;
-}
-
-(* Recycled hierarchies, keyed by structural config equality. The harness
-   builds one per measurement; with SoA caches a reset is three array fills,
-   far cheaper than reallocating an 8 MB L2's line arrays each time. *)
-let pool_lock = Mutex.create ()
-let pool : t list ref = ref []
-let pool_max = 16
+type t = { cfg : config; l1 : Cache.t; l2 : Cache.t; sharers : int }
 
 let create ?(sharers = 1) (cfg : config) =
-  let recycled =
-    Mutex.protect pool_lock (fun () ->
-        match
-          List.partition (fun t -> t.cfg = cfg && t.sharers = sharers) !pool
-        with
-        | t :: rest_same, rest ->
-          pool := rest_same @ rest;
-          Some t
-        | [], _ -> None)
-  in
-  match recycled with
-  | Some t -> t
-  | None ->
-    { cfg; l1 = Cache.create cfg.l1; l2 = Cache.create cfg.l2; sharers; poolable = true }
+  { cfg; l1 = Cache.create cfg.l1; l2 = Cache.create cfg.l2; sharers }
 
-let release t =
-  if t.poolable then begin
-    Cache.reset t.l1;
-    Cache.reset t.l2;
-    Mutex.protect pool_lock (fun () ->
-        if List.length !pool < pool_max then pool := t :: !pool)
-  end
+let release _ = ()
 
 let create_shared (cfg : config) ~cores =
   let l2 = Cache.create cfg.l2 in
-  Array.init cores (fun _ ->
-      { cfg; l1 = Cache.create cfg.l1; l2; sharers = cores; poolable = false })
+  Array.init cores (fun _ -> { cfg; l1 = Cache.create cfg.l1; l2; sharers = cores })
 
 let l2_latency t =
   (Cache.geometry t.l2).hit_latency + (t.cfg.l2_shared_penalty * (t.sharers - 1))

@@ -26,13 +26,13 @@ type t
 
 val create : ?sharers:int -> config -> t
 (** A hierarchy with a private L1 and its own L2. [sharers] scales the L2
-    latency penalty (default 1 = no sharing). May return a hierarchy parked
-    by {!release} (fully reset — indistinguishable from fresh). *)
+    latency penalty (default 1 = no sharing). Costs the allocation of both
+    caches' arrays, proportional to their line counts (about 1 ms for the
+    default 8 MB L2). *)
 
 val release : t -> unit
-(** Reset [t] and park it for reuse by a later {!create} with an equal
-    config (any domain). The caller promises not to touch [t] afterwards.
-    No-op for {!create_shared} members, whose L2 is aliased by siblings. *)
+(** Does nothing. Hierarchies are plain GC values; this stays only for the
+    benchmark harness's callers and goes with their next change. *)
 
 val create_shared : config -> cores:int -> t array
 (** [cores] hierarchies with private L1s over one shared L2 (and shared L2

@@ -6,22 +6,25 @@
     Timing lives in {!Cache} / {!Hierarchy}.
 
     All accesses are little-endian, matching RISC-V. Word values are exchanged
-    as native ints sign-extended from 32 bits. *)
+    as native ints sign-extended from 32 bits.
+
+    Storage is a table of 4 KiB pages, each allocated on its first store;
+    an untouched page reads as zero. Whole-memory operations ({!create},
+    {!copy}, {!restore}, {!equal}, {!checksum}) cost one step per page-table
+    entry plus byte work on allocated pages only, so their cost follows the
+    pages a program touches, not the memory's size. An access that crosses
+    a page boundary is served byte by byte, with the same result. *)
 
 type t
 
 val create : ?size:int -> unit -> t
-(** [create ~size ()] allocates [size] bytes of zeroed memory (default
-    16 MiB). Reuses a buffer parked by {!release} when one of the exact size
-    is available — re-zeroed, so indistinguishable from a fresh
-    allocation. *)
+(** [create ~size ()] is [size] bytes of zeroed memory (default 16 MiB).
+    No page is allocated yet: the cost is the page table, one word per
+    4 KiB. *)
 
 val release : t -> unit
-(** Park [t]'s backing buffer for reuse by a later {!create} of the same
-    size (any domain). The caller promises not to touch [t] afterwards —
-    harness hot paths call this after a measurement's memory is fully
-    consumed; ordinary callers may simply drop memories and let the GC
-    collect them. *)
+(** Does nothing. Memories are plain GC values; this stays only for the
+    benchmark harness's callers and goes with their next change. *)
 
 val size : t -> int
 
@@ -36,13 +39,9 @@ val load_half_u : t -> int -> int
 val load_word : t -> int -> int
 (** Sign-extended 32-bit word. *)
 
-val load_dword : t -> int -> int64
-(** 64-bit doubleword (for the RV64I interpreter). *)
-
 val store_byte : t -> int -> int -> unit
 val store_half : t -> int -> int -> unit
 val store_word : t -> int -> int -> unit
-val store_dword : t -> int -> int64 -> unit
 
 val load_float32 : t -> int -> float
 (** Read 4 bytes as an IEEE-754 single; the result is exactly representable
@@ -52,21 +51,25 @@ val store_float32 : t -> int -> float -> unit
 (** Round to single precision and store 4 bytes. *)
 
 val copy : t -> t
-(** Deep copy; used to run the same initial state through the CPU reference
-    and the accelerator. *)
+(** Deep copy of the allocated pages; used to run the same initial state
+    through the CPU reference and the accelerator. O(touched pages). *)
 
 val restore : t -> from:t -> unit
 (** Overwrite [t]'s contents with a checkpoint previously taken by {!copy}
     (sizes must match) — in-place, so existing handles on [t] stay valid.
-    Used to roll back a fault-corrupted execution window. *)
+    Used to roll back a fault-corrupted execution window. O(pages touched
+    by either side). *)
 
 val equal : t -> t -> bool
-(** Byte-wise equality, for functional-equivalence checks. *)
+(** Byte-wise equality, for functional-equivalence checks. Only pages
+    allocated on either side are compared byte by byte. *)
 
 val checksum : t -> int
 (** FNV-1a over the full contents, folded to a non-negative int — a compact
     fingerprint of final memory for golden tests. Platform-stable on any
-    64-bit build. *)
+    64-bit build. Untouched pages fold in closed form (one multiply each),
+    so only allocated pages are hashed byte by byte; the value is the same
+    as a byte loop over the whole memory. *)
 
 val blit_words : t -> int -> int array -> unit
 (** [blit_words t addr ws] stores consecutive words starting at [addr]. *)

@@ -239,10 +239,7 @@ let controller_confirm t (k : Kernel.t) ~grid placement =
   let machine = Kernel.prepare k mem in
   let report = Controller.run ~options k.Kernel.program machine in
   let cycles = report.Controller.total_cycles in
-  let verdict = k.Kernel.check mem in
-  Hierarchy.release report.Controller.hier;
-  Main_memory.release mem;
-  match verdict with Ok () -> Some cycles | Error _ -> None
+  match k.Kernel.check mem with Ok () -> Some cycles | Error _ -> None
 
 let refine_one t (j : refine_job) =
   let reject detail =
@@ -435,8 +432,6 @@ let fabric_exec t (k : Kernel.t) shard inject ~rerouted ~retries ~profiled =
       List.find_map (fun r -> r.Controller.measured) report.Controller.regions
     else None
   in
-  Hierarchy.release report.Controller.hier;
-  Main_memory.release mem;
   (body, quarantines, verdict, measured)
 
 let cpu_exec (k : Kernel.t) ~rerouted ~retries =
@@ -458,9 +453,7 @@ let cpu_exec (k : Kernel.t) ~rerouted ~retries =
       latency_ms = 0.0;
     }
   in
-  let verdict = k.Kernel.check mem in
-  Main_memory.release mem;
-  (body, verdict)
+  (body, k.Kernel.check mem)
 
 let err kind message = Proto.Err { Proto.kind; message }
 

@@ -25,7 +25,7 @@ let () =
          Test_robustness.suites;
          Test_engine_timing.suites;
          Test_engine_event.suites;
-         Test_rv64.suites;
+         Test_schedule_view.suites;
          Test_cse.suites;
          Test_fault.suites;
          Test_dse.suites;

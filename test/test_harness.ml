@@ -109,7 +109,7 @@ let translation_memo_eviction () =
         | () -> false
         | exception Invalid_argument _ -> true))
 
-let mesa_measurement_checked () =
+let mesa_run_checked () =
   let k = Workloads.find "srad" in
   let m, report = Runner.mesa k in
   check Alcotest.bool "correct" true (m.Runner.checked = Ok ());
@@ -203,7 +203,7 @@ let suites =
       ] );
     ( "runner",
       [
-        Alcotest.test_case "mesa measurement" `Quick mesa_measurement_checked;
+        Alcotest.test_case "mesa measurement" `Quick mesa_run_checked;
         Alcotest.test_case "translation memo" `Quick translation_memo_shares_results;
         Alcotest.test_case "translation memo eviction" `Quick translation_memo_eviction;
         Alcotest.test_case "mem ports override" `Quick mesa_mem_ports_override;

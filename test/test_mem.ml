@@ -51,6 +51,154 @@ let mem_blit_read () =
   check (Alcotest.array (Alcotest.float 0.0)) "floats" [| 1.0; 2.5 |]
     (Main_memory.read_floats m 64 2)
 
+(* Differential check of the paged memory against a flat [Bytes] model:
+   random op sequences over every access width, with addresses biased onto
+   page boundaries and the memory's end, plus copy/restore/equal and a
+   byte-loop FNV-1a reference for [checksum]. *)
+
+let fnv_reference b =
+  let h = ref 0x3bf29ce484222325 in
+  Bytes.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) b;
+  !h land max_int
+
+type width = W8 | W16 | W32 | F32
+
+type op =
+  | Store of width * int * int
+  | Store_f of int * float
+  | Load of width * bool * int  (** width, signed, address *)
+  | Snapshot  (** copy both sides *)
+  | Restore  (** roll both sides back to the last snapshot *)
+  | Compare  (** equal against the snapshot, checksum against the model *)
+
+let width_name = function W8 -> "8" | W16 -> "16" | W32 -> "32" | F32 -> "f32"
+
+let print_op = function
+  | Store (w, a, v) -> Printf.sprintf "store%s 0x%x %d" (width_name w) a v
+  | Store_f (a, f) -> Printf.sprintf "storef 0x%x %h" a f
+  | Load (w, s, a) -> Printf.sprintf "load%s%s 0x%x" (width_name w) (if s then "" else "u") a
+  | Snapshot -> "snapshot"
+  | Restore -> "restore"
+  | Compare -> "compare"
+
+let print_case (size, ops) =
+  Printf.sprintf "size %d: %s" size (String.concat "; " (List.map print_op ops))
+
+let gen_case =
+  let open QCheck2.Gen in
+  let* size = oneofl [ 64; 4096; 9000; (3 * 4096) + 100; 5 * 4096 ] in
+  let addr =
+    frequency
+      [
+        (3, int_range 0 (size - 1));
+        (* straddling or touching a page boundary *)
+        ( 4,
+          let* page = int_range 1 ((size - 1) / 4096 + 1) in
+          let+ d = int_range (-4) 3 in
+          (page * 4096) + d );
+        (* the top of memory, partly out of bounds *)
+        (1, int_range (size - 6) (size + 2));
+      ]
+  in
+  let op =
+    frequency
+      [
+        ( 6,
+          let* w = oneofl [ W8; W16; W32 ] in
+          let* a = addr in
+          let+ v = int in
+          Store (w, a, v) );
+        (2, map2 (fun a f -> Store_f (a, f)) addr float);
+        (6, map3 (fun w s a -> Load (w, s, a)) (oneofl [ W8; W16; W32; F32 ]) bool addr);
+        (1, return Snapshot);
+        (1, return Restore);
+        (1, return Compare);
+      ]
+  in
+  let+ ops = list_size (int_range 1 80) op in
+  (size, ops)
+
+let store_mem m w a v =
+  match w with
+  | W8 -> Main_memory.store_byte m a v
+  | W16 -> Main_memory.store_half m a v
+  | W32 | F32 -> Main_memory.store_word m a v
+
+let store_model b w a v =
+  match w with
+  | W8 -> Bytes.set_uint8 b a (v land 0xFF)
+  | W16 -> Bytes.set_uint16_le b a (v land 0xFFFF)
+  | W32 | F32 -> Bytes.set_int32_le b a (Int32.of_int v)
+
+let load_mem m w signed a =
+  match (w, signed) with
+  | W8, true -> Main_memory.load_byte m a
+  | W8, false -> Main_memory.load_byte_u m a
+  | W16, true -> Main_memory.load_half m a
+  | W16, false -> Main_memory.load_half_u m a
+  | W32, _ -> Main_memory.load_word m a
+  | F32, _ -> Int64.to_int (Int64.bits_of_float (Main_memory.load_float32 m a))
+
+let load_model b w signed a =
+  match (w, signed) with
+  | W8, true -> Bytes.get_int8 b a
+  | W8, false -> Bytes.get_uint8 b a
+  | W16, true -> Bytes.get_int16_le b a
+  | W16, false -> Bytes.get_uint16_le b a
+  | W32, _ -> Int32.to_int (Bytes.get_int32_le b a)
+  | F32, _ -> Int64.to_int (Int64.bits_of_float (Int32.float_of_bits (Bytes.get_int32_le b a)))
+
+(* Both sides return the same value, or both reject the access. *)
+let agree f g =
+  let run h = match h () with v -> Some v | exception Invalid_argument _ -> None in
+  run f = run g
+
+let mem_matches_flat_model =
+  QCheck2.Test.make ~name:"paged memory matches a flat byte model" ~count:300
+    ~print:print_case gen_case (fun (size, ops) ->
+      let m = Main_memory.create ~size () and b = Bytes.make size '\000' in
+      let untouched = Main_memory.create ~size () in
+      let saved = ref (Main_memory.copy m, Bytes.copy b) in
+      let step = function
+        | Store (w, a, v) -> agree (fun () -> store_mem m w a v) (fun () -> store_model b w a v)
+        | Store_f (a, f) ->
+          agree
+            (fun () -> Main_memory.store_float32 m a f)
+            (fun () -> Bytes.set_int32_le b a (Int32.bits_of_float f))
+        | Load (w, s, a) -> agree (fun () -> load_mem m w s a) (fun () -> load_model b w s a)
+        | Snapshot ->
+          saved := (Main_memory.copy m, Bytes.copy b);
+          true
+        | Restore ->
+          let sm, sb = !saved in
+          Main_memory.restore m ~from:sm;
+          Bytes.blit sb 0 b 0 size;
+          true
+        | Compare ->
+          let sm, sb = !saved in
+          Main_memory.equal m sm = Bytes.equal b sb
+          && Main_memory.checksum m = fnv_reference b
+          && Main_memory.checksum sm = fnv_reference sb
+      in
+      let zero = fnv_reference (Bytes.make size '\000') in
+      List.for_all step ops
+      && Main_memory.checksum m = fnv_reference b
+      && Main_memory.equal (Main_memory.copy m) m
+      (* no store ever lands in the page every fresh memory shares *)
+      && Main_memory.checksum untouched = zero
+      && Main_memory.checksum (Main_memory.create ~size ()) = zero
+      && Main_memory.equal untouched (Main_memory.create ~size ()))
+
+let mem_checksum_default_size () =
+  let m = Main_memory.create () in
+  let b = Bytes.make (Main_memory.size m) '\000' in
+  List.iter
+    (fun (a, v) ->
+      Main_memory.store_word m a v;
+      Bytes.set_int32_le b a (Int32.of_int v))
+    [ (0, 0x1234); (4094, -7); (0x80000, 99); (Main_memory.size m - 4, 0x5a5a5a5a) ];
+  check Alcotest.int "16 MiB checksum = byte loop" (fnv_reference b) (Main_memory.checksum m)
+
 (* -------------------- cache -------------------- *)
 
 let small_cache () =
@@ -193,6 +341,8 @@ let suites =
         Alcotest.test_case "float roundtrip" `Quick mem_float_roundtrip;
         Alcotest.test_case "copy/equal" `Quick mem_copy_equal;
         Alcotest.test_case "blit/read" `Quick mem_blit_read;
+        Alcotest.test_case "default-size checksum" `Quick mem_checksum_default_size;
+        QCheck_alcotest.to_alcotest mem_matches_flat_model;
       ] );
     ( "cache",
       [

@@ -61,24 +61,20 @@ let execute_refined ~engine (r : Refine.report) (k : Kernel.t) =
   let attribution = Attribution.create ~grid () in
   Attribution.begin_window attribution ~at:0.0;
   let hier = Hierarchy.create Hierarchy.default_config in
-  let out =
-    match
-      Engine.execute ~engine ~attribution ~config ~dfg:r.Refine.dfg ~machine ~hier ()
-    with
-    | Error e -> Alcotest.failf "%s (%s engine): %s" k.Kernel.name
-        (match engine with `Event -> "event" | `Reference -> "reference") e
-    | Ok res ->
-      ( {
-          o_res = res;
-          o_mem_checksum = Main_memory.checksum mem;
-          o_stats_json = Json.to_string (Stats.to_json res.Engine.measured);
-          o_attr_totals = Attribution.totals attribution;
-          o_attr_cycles = Attribution.total_cycles attribution;
-        },
-        machine )
-  in
-  Hierarchy.release hier;
-  out
+  match
+    Engine.execute ~engine ~attribution ~config ~dfg:r.Refine.dfg ~machine ~hier ()
+  with
+  | Error e -> Alcotest.failf "%s (%s engine): %s" k.Kernel.name
+      (match engine with `Event -> "event" | `Reference -> "reference") e
+  | Ok res ->
+    ( {
+        o_res = res;
+        o_mem_checksum = Main_memory.checksum mem;
+        o_stats_json = Json.to_string (Stats.to_json res.Engine.measured);
+        o_attr_totals = Attribution.totals attribution;
+        o_attr_cycles = Attribution.total_cycles attribution;
+      },
+      machine )
 
 let refined_placement_differential () =
   List.iter
