@@ -82,15 +82,16 @@ let grow t =
       end)
     keys
 
+(* The first cycle >= [c] with spare capacity, along the skip chain. *)
+let rec walk t c =
+  let i = probe t c in
+  if t.keys.(i) <> 0 && t.cnt.(i) >= t.capacity then walk t t.nxt.(i) else c
+
 (* First cycle >= [start] with spare capacity. Walks the skip chain of full
    cycles (iteratively, then compresses the whole chain to the answer so
    the next claim lands in O(1)). *)
 let find_free t start =
-  let rec walk c =
-    let i = probe t c in
-    if t.keys.(i) <> 0 && t.cnt.(i) >= t.capacity then walk t.nxt.(i) else c
-  in
-  let free = walk start in
+  let free = walk t start in
   (* Path compression: repoint every full cycle on the chain at the answer. *)
   let c = ref start in
   while
@@ -107,10 +108,10 @@ let find_free t start =
   done;
   free
 
-(* Allocation-free claim: the sub-slot lands in [last_slot] instead of a
-   returned pair, keeping the engine's per-access path tuple-free. *)
-let claim_issue t ready =
-  let start = int_of_float (Float.ceil ready) in
+(* Book the first cycle >= [start] with spare capacity and return it. The
+   sub-slot lands in [last_slot] instead of a returned pair, keeping the
+   engine's per-access path tuple-free. *)
+let claim_cycle t start =
   let cycle = find_free t (max 0 start) in
   let i = probe t cycle in
   let used =
@@ -130,7 +131,10 @@ let claim_issue t ready =
   (* Keep the load factor under 5/8 so probes stay short (after all slot
      writes: growing rehashes and would invalidate [i]). *)
   if t.occupied * 8 > (t.mask + 1) * 5 then grow t;
-  Float.max ready (float_of_int cycle)
+  cycle
+
+let claim_issue t ready =
+  Float.max ready (float_of_int (claim_cycle t (int_of_float (Float.ceil ready))))
 
 let claim_slot t ready =
   let issue = claim_issue t ready in
@@ -141,15 +145,15 @@ let last_slot t = t.last_slot
 let claimed t = t.claimed
 let busy_cycles t = t.occupied
 
-let reset ?capacity t =
+let reset ?capacity ?(max_size = 65536) t =
   (match capacity with
   | None -> ()
   | Some c ->
     if c <= 0 then invalid_arg "Contention.reset: capacity must be positive";
     t.capacity <- c);
-  (* Shrink pathologically grown tables back toward the initial footprint;
+  (* Shrink tables grown past [max_size] back toward the initial footprint;
      otherwise keep the warm buffers for the next execution. *)
-  if t.mask + 1 > 65536 then begin
+  if t.mask + 1 > max_size then begin
     t.mask <- initial_size - 1;
     t.keys <- Array.make initial_size 0;
     t.cnt <- Array.make initial_size 0;

@@ -27,6 +27,13 @@ val claim_issue : t -> float -> float
     sub-slot in {!last_slot} instead of building a pair — the event-driven
     engine's hot-path entry point. *)
 
+val claim_cycle : t -> int -> int
+(** [claim_cycle t start] books the first cycle at or after [start] (and
+    at or after 0) with spare capacity and returns it: the integer core of
+    the claims, with int arguments so callers pay no float boxing.
+    [claim_issue t ready] is
+    [Float.max ready (float_of_int (claim_cycle t (int_of_float (Float.ceil ready))))]. *)
+
 val last_slot : t -> int
 (** Sub-slot taken by the most recent claim (0 before any claim). *)
 
@@ -37,8 +44,11 @@ val busy_cycles : t -> int
 (** Number of distinct cycles with at least one booked operation — the
     numerator of the resource's utilization. *)
 
-val reset : ?capacity:int -> t -> unit
+val reset : ?capacity:int -> ?max_size:int -> t -> unit
 (** Forget every booked slot (and optionally change the capacity), restoring
     the table to its freshly-created state. The engine recycles contention
     tables across executions through this instead of rebuilding their slot
-    hashtables each time. *)
+    hashtables each time. A reset clears the whole slot table, so a table
+    grown past [max_size] slots (default 65536) is shrunk back to the
+    initial footprint instead — a caller that books few cycles passes a
+    smaller bound. *)

@@ -204,16 +204,7 @@ let evaluate (p : point) =
   match Runner.placement_of ~kind:p.kind ~grid k with
   | Error e -> rejected p e
   | Ok placement -> (
-    let mo = Mem_opt.analyze dfg in
-    let ld =
-      Loop_opt.decide ~grid ~dfg
-        ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-    in
-    let config =
-      Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-        ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-        ~tiling:ld.Loop_opt.tiling ~pipelined:true placement
-    in
+    let config = Runner.optimized_config ~k ~dfg ~grid placement in
     let mem = Main_memory.create () in
     let machine = Kernel.prepare k mem in
     let hier = Hierarchy.create (hier_config_of_point p) in
@@ -562,16 +553,7 @@ let model_of_point (p : point) =
   match Runner.placement_of ~kind:p.kind ~grid k with
   | Error e -> Error e
   | Ok placement ->
-    let mo = Mem_opt.analyze dfg in
-    let ld =
-      Loop_opt.decide ~grid ~dfg
-        ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-    in
-    let config =
-      Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-        ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-        ~tiling:ld.Loop_opt.tiling ~pipelined:true placement
-    in
+    let config = Runner.optimized_config ~k ~dfg ~grid placement in
     let h = surrogate_horizon k in
     let est = Cost_model.estimate ~config ~dfg ~iterations:h () in
     Ok (float_of_int est.Cost_model.cycles /. float_of_int h, config, dfg, grid, h)

@@ -81,13 +81,7 @@ let engine_ipc (k : Kernel.t) ~grid ~optimized =
   | Error e -> Error e
   | Ok placement ->
     let config =
-      if optimized then begin
-        let mo = Mem_opt.analyze dfg in
-        let ld = Loop_opt.decide ~grid ~dfg ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr) in
-        Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-          ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-          ~tiling:ld.Loop_opt.tiling ~pipelined:true placement
-      end
+      if optimized then Runner.optimized_config ~k ~dfg ~grid placement
       else Accel_config.plain placement
     in
     let mem = Main_memory.create () in

@@ -26,16 +26,6 @@ type report = {
    ordering. *)
 let model_horizon iterations = min iterations 128
 
-let config_around ~(k : Kernel.t) ~(dfg : Dfg.t) ~(grid : Grid.t) placement =
-  let mo = Mem_opt.analyze dfg in
-  let ld =
-    Loop_opt.decide ~grid ~dfg
-      ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-  in
-  Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-    ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-    ~tiling:ld.Loop_opt.tiling ~pipelined:true placement
-
 let execute_once ?attribution ~(k : Kernel.t) ~dfg config =
   let mem = Main_memory.create () in
   let machine = Kernel.prepare k mem in
@@ -60,7 +50,7 @@ let run_core ?(seed = 0) ?max_rounds ?beam ~kind ~grid ?baseline ?measured
   match baseline with
   | Error e -> Error e
   | Ok baseline -> (
-    let config_of = config_around ~k ~dfg ~grid in
+    let config_of = Runner.optimized_config ~k ~dfg ~grid in
     match execute_once ~k ~dfg (config_of baseline) with
     | Error e -> Error ("baseline execution failed: " ^ e)
     | Ok base_res ->
@@ -115,7 +105,7 @@ let run_measured ?seed ?max_rounds ?beam ?(kind = Interconnect.Mesh_noc)
 
 let config_for (r : report) placement =
   let grid = placement.Placement.grid in
-  config_around ~k:(Workloads.find r.kernel) ~dfg:r.dfg ~grid placement
+  Runner.optimized_config ~k:(Workloads.find r.kernel) ~dfg:r.dfg ~grid placement
 
 let profile (r : report) placement =
   let k = Workloads.find r.kernel in

@@ -59,6 +59,11 @@ val run_measured :
     engine still confirms every adoption, so never-regress holds
     unchanged. *)
 
+val model_horizon : int -> int
+(** The iteration count the cost model ranks candidates over for a loop of
+    the given trip count: the trip count, capped at 128 (past the steady
+    state more iterations rescale every estimate alike). *)
+
 val config_for : report -> Placement.t -> Accel_config.t
 (** The kernel's optimization flags around an arbitrary placement — what
     [run] itself executes, exposed so differential tests can re-run the

@@ -193,6 +193,16 @@ let placement_of ?(kind = Interconnect.Mesh_noc) ~grid (k : Kernel.t) =
   memoized placement_memo key (fun () ->
       Mapper.map ~grid ~kind (Perf_model.create dfg))
 
+let optimized_config ~(k : Kernel.t) ~(dfg : Dfg.t) ~grid placement =
+  let mo = Mem_opt.analyze dfg in
+  let ld =
+    Loop_opt.decide ~grid ~dfg
+      ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
+  in
+  Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
+    ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
+    ~tiling:ld.Loop_opt.tiling ~pipelined:true placement
+
 (* Atomic replacement of a memoized placement — the hand-off point for a
    background refinement pass: once swapped, every subsequent
    [placement_of] hit (warm service requests included) sees the refined

@@ -60,6 +60,13 @@ val placement_of :
     geometry and interconnect kind; mapping errors are cached too (they are
     equally deterministic). *)
 
+val optimized_config :
+  k:Kernel.t -> dfg:Dfg.t -> grid:Grid.t -> Placement.t -> Accel_config.t
+(** [placement] with the kernel's optimization flags: the {!Mem_opt}
+    forwarding pairs, vector groups and prefetches, the {!Loop_opt} tiling
+    factor for [grid], and pipelining on — the configuration refinement,
+    the DSE and the optimized fig12 column execute and model. *)
+
 val swap_placement :
   ?kind:Interconnect.kind -> grid:Grid.t -> Kernel.t -> Placement.t -> unit
 (** Atomically replace the memoized placement for (kernel, grid, [kind]) —

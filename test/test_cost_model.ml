@@ -255,16 +255,7 @@ let model_tight_on_reference_kernels () =
       match Runner.placement_of ~grid k with
       | Error _ -> ()
       | Ok placement ->
-        let mo = Mem_opt.analyze dfg in
-        let ld =
-          Loop_opt.decide ~grid ~dfg
-            ~pragma:(Program.pragma_at k.Kernel.program dfg.Dfg.entry_addr)
-        in
-        let config =
-          Accel_config.with_opts ~forwarding:mo.Mem_opt.forwarding
-            ~vector_groups:mo.Mem_opt.vector_groups ~prefetched:mo.Mem_opt.prefetched
-            ~tiling:ld.Loop_opt.tiling ~pipelined:true placement
-        in
+        let config = Runner.optimized_config ~k ~dfg ~grid placement in
         let mem = Main_memory.create () in
         let machine = Kernel.prepare k mem in
         let hier = Hierarchy.create Hierarchy.default_config in
@@ -281,6 +272,137 @@ let model_tight_on_reference_kernels () =
               k.Kernel.name est.Cost_model.cycles res.Engine.cycles (100.0 *. err)))
     (List.map Workloads.find reference_kernels)
 
+(* {2 Golden pin: the full estimate, bit for bit.}
+
+   The refine inputs of the five reference kernels at M-64 — the
+   Algorithm-1 placement with the kernel's optimization flags, at the
+   refine horizon — estimated under the default oracles and under the
+   oracles of one measured engine window. Every field of the record is
+   pinned, floats by their bit pattern, so any change to the estimator
+   that moves an estimate fails here, including [simulated], [steady] and
+   the critical chain. *)
+
+let pin_kernels = [ "nn"; "kmeans"; "bfs"; "cfd"; "hotspot" ]
+
+(* The refine inputs of [name]: its baseline config, its DFG, the refine
+   horizon and the measured snapshot of one baseline engine run. *)
+let refine_inputs name =
+  let k = Workloads.find name in
+  let grid = Grid.m64 in
+  let dfg = Runner.dfg_of_kernel k in
+  match Runner.placement_of ~grid k with
+  | Error e -> Alcotest.failf "%s: %s" name e
+  | Ok placement -> (
+    let config = Runner.optimized_config ~k ~dfg ~grid placement in
+    let mem = Main_memory.create () in
+    let machine = Kernel.prepare k mem in
+    let hier = Hierarchy.create Hierarchy.default_config in
+    match Engine.execute ~config ~dfg ~machine ~hier () with
+    | Error e -> Alcotest.failf "%s: %s" name e
+    | Ok res ->
+      (config, dfg, Refine.model_horizon res.Engine.iterations, res.Engine.measured))
+
+let estimate_line (e : Cost_model.t) =
+  let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f) in
+  Printf.sprintf
+    "cycles=%d iter_latency=%s ii=%s ii_rec=%s ii_mem=%s ii_fu=%s \
+     critical=[%s] simulated=%d steady=%b"
+    e.Cost_model.cycles (bits e.Cost_model.iter_latency) (bits e.Cost_model.ii)
+    (bits e.Cost_model.ii_rec) (bits e.Cost_model.ii_mem) (bits e.Cost_model.ii_fu)
+    (String.concat ";" (List.map string_of_int e.Cost_model.critical))
+    e.Cost_model.simulated e.Cost_model.steady
+
+let pinned_lines () =
+  List.concat_map
+    (fun name ->
+      let config, dfg, iterations, measured = refine_inputs name in
+      let default = Cost_model.estimate ~config ~dfg ~iterations () in
+      let oracle =
+        Cost_model.estimate
+          ~op_latency:(Cost_model.op_oracle_of_measured measured)
+          ~mem_latency:(Cost_model.mem_oracle_of_measured measured)
+          ~config ~dfg ~iterations ()
+      in
+      [ (name ^ "/default", estimate_line default);
+        (name ^ "/measured", estimate_line oracle) ])
+    pin_kernels
+
+let golden_estimates =
+  [
+    ("nn/default",
+      "cycles=651 iter_latency=404a800000000000 ii=4038000000000000 ii_rec=4008000000000000 ii_mem=4000000000000000 ii_fu=4038000000000000 critical=[0;2;4;6;7;8] simulated=85 steady=true");
+    ("nn/measured",
+      "cycles=659 iter_latency=404ec00aaaaaaaac ii=4038000000000000 ii_rec=4008000000000000 ii_mem=4000000000000000 ii_fu=4038000000000000 critical=[1;3;5;6;7;8] simulated=85 steady=true");
+    ("kmeans/default",
+      "cycles=829 iter_latency=407c000000000000 ii=4008000000000000 ii_rec=4008000000000000 ii_mem=4000000000000000 ii_fu=3ff0000000000000 critical=[1;10;11;12;13;14;15;22;23;24;31;32;34;35] simulated=128 steady=false");
+    ("kmeans/measured",
+      "cycles=834 iter_latency=407c476755555555 ii=4008000000000000 ii_rec=4008000000000000 ii_mem=4000000000000000 ii_fu=3ff0000000000000 critical=[1;10;11;12;13;14;15;22;23;24;31;32;34;35] simulated=128 steady=false");
+    ("bfs/default",
+      "cycles=408 iter_latency=403b000000000000 ii=4008000000000000 ii_rec=4008000000000000 ii_mem=4008000000000000 ii_fu=3ff0000000000000 critical=[0;2;4;6;8;9;10] simulated=128 steady=false");
+    ("bfs/measured",
+      "cycles=410 iter_latency=403ca2a320d27129 ii=4008000000000000 ii_rec=4008000000000000 ii_mem=4008000000000000 ii_fu=3ff0000000000000 critical=[0;2;4;6;8;9;10] simulated=128 steady=false");
+    ("cfd/default",
+      "cycles=1569 iter_latency=404c800000000000 ii=4038000000000000 ii_rec=4008000000000000 ii_mem=4008000000000000 ii_fu=4038000000000000 critical=[2;10;12;13;14;15] simulated=6 steady=true");
+    ("cfd/measured",
+      "cycles=1596 iter_latency=4054c33333333333 ii=4038000000000000 ii_rec=4008000000000000 ii_mem=4008000000000000 ii_fu=4038000000000000 critical=[2;10;12;13;14;15] simulated=8 steady=true");
+    ("hotspot/default",
+      "cycles=224 iter_latency=404c000000000000 ii=4010000000000000 ii_rec=4008000000000000 ii_mem=4010000000000000 ii_fu=3ff0000000000000 critical=[3;7;8;11;12;14;15;16] simulated=128 steady=false");
+    ("hotspot/measured",
+      "cycles=323 iter_latency=4063600000000000 ii=4010000000000000 ii_rec=4008000000000000 ii_mem=4010000000000000 ii_fu=3ff0000000000000 critical=[3;7;8;11;12;14;15;16] simulated=128 steady=false");
+  ]
+
+let model_golden_pin () =
+  List.iter
+    (fun (key, line) ->
+      match List.assoc_opt key golden_estimates with
+      | None -> Alcotest.failf "%s: no golden (got %S)" key line
+      | Some want -> check Alcotest.string (key ^ ": estimate bit-identical") want line)
+    (pinned_lines ())
+
+(* {2 Allocation gate: words per estimate, a host-independent cost.}
+
+   One kmeans estimate at M-64 over the refine horizon, on its refine
+   inputs, counted in words allocated (minor words plus words allocated
+   directly in the major heap). Two warm-up calls leave the borrowed
+   contention tables at their working size, so the count is exact and
+   repeatable on a given compiler (measured on OCaml 5.1.1). The bound is
+   the measured count plus 10% headroom. *)
+
+let kmeans_estimate_words = 5_382
+
+(* Words [f] allocates: exact minor words plus the major-heap words it
+   allocated directly (promotions are minor words already counted). The
+   major counters are only folded in at collections, so settle them with a
+   minor collection and a major slice on both sides. *)
+let allocated_words f =
+  let settle () =
+    Gc.minor ();
+    ignore (Gc.major_slice 0)
+  in
+  settle ();
+  let before = Gc.quick_stat () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  settle ();
+  let after = Gc.quick_stat () in
+  let major =
+    after.Gc.major_words -. before.Gc.major_words
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+  in
+  int_of_float (minor1 -. minor0 +. major)
+
+let estimate_allocation_gate () =
+  let config, dfg, iterations, _ = refine_inputs "kmeans" in
+  let estimate () = Cost_model.estimate ~config ~dfg ~iterations () in
+  ignore (estimate ());
+  ignore (estimate ());
+  let words = allocated_words estimate in
+  let budget = kmeans_estimate_words + (kmeans_estimate_words / 10) in
+  if words > budget then
+    Alcotest.failf "kmeans estimate allocated %d words, budget %d (measured %d + 10%%)"
+      words budget kmeans_estimate_words
+
 let suites =
   [
     ( "cost-model",
@@ -291,5 +413,9 @@ let suites =
           model_is_pure;
         Alcotest.test_case "model within 5% on reference kernels at M-64" `Slow
           model_tight_on_reference_kernels;
+        Alcotest.test_case "golden pin: refine inputs bit-identical" `Quick
+          model_golden_pin;
+        Alcotest.test_case "allocation gate: words per kmeans estimate" `Quick
+          estimate_allocation_gate;
       ] );
   ]
