@@ -12,9 +12,11 @@
      --jobs N     run each experiment's measurements on N domains
                   (default 1; the tables are bit-identical for any N)
      --json PATH  dump per-experiment timings as JSON (schema v2: wall
-                  clock plus simulated_cycles / cycles_per_second)
+                  clock plus simulated_cycles / cycles_per_second /
+                  minor_words_per_cycle)
      --check PATH compare against a baseline JSON: simulated_cycles must
-                  match exactly, cycles_per_second may not regress >2x
+                  match exactly, cycles_per_second may not regress >2x,
+                  minor_words_per_cycle may not grow >10%
      --csv DIR    write each outcome as CSV *)
 
 (* Figure-style ASCII charts rendered next to the tables. *)
@@ -66,19 +68,25 @@ let chart_of name (o : Experiments.outcome) =
     Some (Chart.bars ~title:"Figure 15 (chart): nn scaling, default memory" series)
   | _ -> None
 
-(* Per-experiment (wall-clock seconds, simulated-cycle delta) pairs,
-   accumulated for --json / --check. The cycle delta comes from the
-   process-wide {!Sim_meter}, so it is exact and jobs-invariant — CI can
-   equality-gate on it while only tolerance-gating the wall clock. *)
-let timings : (string * float * int) list ref = ref []
+(* Per-experiment timings, accumulated for --json / --check. The cycle
+   delta comes from the process-wide {!Sim_meter}, so it is exact and
+   jobs-invariant — CI can equality-gate on it while only tolerance-gating
+   the wall clock. The minor-word delta is a host-independent cost; it
+   counts every domain, since each experiment joins its worker domains
+   before it returns. *)
+type timing = { name : string; seconds : float; cycles : int; minor_words : float }
+
+let timings : timing list ref = ref []
 
 let run_experiment ?csv_dir ?jobs name f =
   let t0 = Unix.gettimeofday () in
   let c0 = Sim_meter.read () in
+  let w0 = (Gc.quick_stat ()).Gc.minor_words in
   let outcome = f ?jobs () in
+  let minor_words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
   let dt = Unix.gettimeofday () -. t0 in
   let cycles = Sim_meter.read () - c0 in
-  timings := (name, dt, cycles) :: !timings;
+  timings := { name; seconds = dt; cycles; minor_words } :: !timings;
   Printf.printf "\n";
   Tables.print outcome.Experiments.table;
   (match chart_of name outcome with
@@ -94,12 +102,15 @@ let run_experiment ?csv_dir ?jobs name f =
   | None -> ());
   Printf.printf "[%s finished in %.1fs]\n%!" name dt
 
+let per_cycle x cycles = if cycles > 0 then x /. float_of_int cycles else 0.0
+
 (* Schema v2 adds [schema_version] plus per-experiment [simulated_cycles]
    and [cycles_per_second]; every v1 field keeps its name and meaning, so
-   v1 consumers keep working. *)
+   v1 consumers keep working. [minor_words_per_cycle] is additive too, so
+   the schema version is unchanged. *)
 let write_timings ~path ~jobs =
   let ts = List.rev !timings in
-  let total = List.fold_left (fun acc (_, dt, _) -> acc +. dt) 0.0 ts in
+  let total = List.fold_left (fun acc t -> acc +. t.seconds) 0.0 ts in
   let json =
     Json.Assoc
       [
@@ -109,15 +120,18 @@ let write_timings ~path ~jobs =
         ( "experiments",
           Json.List
             (List.map
-               (fun (name, dt, cycles) ->
+               (fun t ->
                  Json.Assoc
                    [
-                     ("name", Json.String name);
-                     ("seconds", Json.Float dt);
-                     ("simulated_cycles", Json.Int cycles);
+                     ("name", Json.String t.name);
+                     ("seconds", Json.Float t.seconds);
+                     ("simulated_cycles", Json.Int t.cycles);
                      ( "cycles_per_second",
                        Json.Float
-                         (if dt > 0.0 then float_of_int cycles /. dt else 0.0) );
+                         (if t.seconds > 0.0 then float_of_int t.cycles /. t.seconds
+                          else 0.0) );
+                     ( "minor_words_per_cycle",
+                       Json.Float (per_cycle t.minor_words t.cycles) );
                    ])
                ts) );
       ]
@@ -132,9 +146,11 @@ let write_timings ~path ~jobs =
    baseline. [simulated_cycles] must match exactly (the simulation is
    deterministic — any drift is a correctness bug, not noise); the wall
    clock only fails when [cycles_per_second] drops more than 2x below the
-   baseline, a loose bound that survives shared CI runners. Experiments
-   absent from either side are skipped, as are baselines without cycle
-   fields (schema v1). *)
+   baseline, a loose bound that survives shared CI runners. Where the
+   baseline carries [minor_words_per_cycle], a run may allocate at most
+   10% more per simulated cycle: allocation does not depend on the host, so
+   that gate is tight. Experiments absent from either side are
+   skipped, as are baselines without cycle fields (schema v1). *)
 let check_against ~path =
   let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("[check] " ^ s); true) fmt in
   let text = In_channel.with_open_text path In_channel.input_all in
@@ -156,7 +172,7 @@ let check_against ~path =
     in
     let bad = ref false in
     List.iter
-      (fun (name, dt, cycles) ->
+      (fun { name; seconds = dt; cycles; minor_words } ->
         match lookup name with
         | None -> ()
         | Some e ->
@@ -173,7 +189,16 @@ let check_against ~path =
               bad :=
                 fail "%s: %.3g cycles/s is >2x below baseline %.3g" name cps base_cps
                 || !bad
-          | _ -> ()))
+          | _ -> ());
+          match bfloat "minor_words_per_cycle" with
+          | Some base_wpc when base_wpc > 0.0 ->
+            let wpc = per_cycle minor_words cycles in
+            if wpc > base_wpc *. 1.1 then
+              bad :=
+                fail "%s: %.3f minor words/cycle is >10%% above baseline %.3f" name
+                  wpc base_wpc
+                || !bad
+          | _ -> ())
       (List.rev !timings);
     if !bad then exit 1;
     Printf.printf "[check] ok against %s\n%!" path

@@ -56,6 +56,37 @@ let s32 = Engine_core.s32
 (* Fibonacci multiplicative hash for the store-disambiguation table. *)
 let[@inline] word_hash w mask = (w * 0x2545F4914F6CDD1D) land max_int land mask
 
+(* [Float.max], with its sign-bit C calls kept off the common path: a
+   strict order decides without them, and so does equality away from zero
+   (equal nonzero floats are the same bits). *)
+let[@inline] fmax x y =
+  if y > x then y else if x > y || (x = y && x <> 0.0) then x else Float.max x y
+
+(* {!Contention.claim}, inlined around the integer claim so the node loop
+   boxes no float. *)
+let[@inline] claim c ready =
+  fmax ready (float_of_int (Contention.claim_cycle c (int_of_float (Float.ceil ready))))
+
+(* {!Stats.observe} on a histogram's {!Stats.cells}, inlined so the node
+   loop passes no boxed float across a call. *)
+let[@inline] record (c : float array) x =
+  c.(0) <- c.(0) +. 1.0;
+  c.(1) <- c.(1) +. x;
+  if x < c.(2) then c.(2) <- x;
+  if x > c.(3) then c.(3) <- x
+
+(* The firing cursor: every float the node loop updates, in one all-float
+   record so that its stores stay unboxed — a [float ref] captured by a
+   closure boxes on every assignment. *)
+type cursor = {
+  mutable start : float;  (* the current iteration's initiation time *)
+  mutable arrival : float;  (* Eq. 2 arrival of the firing node's inputs *)
+  mutable arr_nonoc : float;  (* the same fold with NoC queueing deducted *)
+  mutable oplat : float;  (* the firing node's operation latency *)
+  mutable pq : float;  (* its memory-port queueing delay *)
+  mutable fu_bound : float;  (* this iteration's div/sqrt II bound *)
+}
+
 let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
     ?(watchdog_window = 512) ?attribution ~(config : Accel_config.t)
     ~(dfg : Dfg.t) ~(machine : Machine.t) ~(hier : Hierarchy.t) () =
@@ -252,30 +283,37 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
     let reg = Stats.registry () in
     let node_grp = Stats.group reg "node" in
     let node_subgrps = Array.init n (fun i -> Stats.subgroup node_grp (string_of_int i)) in
-    let node_lat = Array.map (fun g -> Stats.histogram g "latency") node_subgrps in
-    let amat = Array.map (fun g -> Stats.histogram g "amat") node_subgrps in
+    let node_hist name = Array.map (fun g -> Stats.cells (Stats.histogram g name)) node_subgrps in
+    let node_lat = node_hist "latency" in
+    let amat = node_hist "amat" in
     let edge_grp = Stats.group reg "edge" in
     let edge_subgrps : (int, Stats.group) Hashtbl.t = Hashtbl.create 16 in
-    let edge_lat : (int * int, Stats.histogram) Hashtbl.t = Hashtbl.create 64 in
+    let edge_lat : (int * int, float array) Hashtbl.t = Hashtbl.create 64 in
     let contention_grp = Stats.group reg "contention" in
-    let noc_queue = Stats.histogram contention_grp "noc_queue_delay" in
-    let port_queue = Stats.histogram contention_grp "port_queue_delay" in
-    let ii_achieved = Stats.histogram (Stats.group reg "ii") "achieved" in
+    let noc_queue = Stats.cells (Stats.histogram contention_grp "noc_queue_delay") in
+    let port_queue = Stats.cells (Stats.histogram contention_grp "port_queue_delay") in
+    let ii_achieved = Stats.cells (Stats.histogram (Stats.group reg "ii") "achieved") in
     let act = Activity.create () in
-    let val_i = function
+    let[@inline] val_i = function
       | Dfg.Node i -> vx.(i)
       | Dfg.Reg_in (r, Dfg.X) -> in_x.(r)
       | Dfg.Reg_in (r, Dfg.F) ->
         raise (Exec_fail (Printf.sprintf "int read of FP live-in f%d" r))
     in
-    let val_f = function
-      | Dfg.Node i -> vf.(i)
-      | Dfg.Reg_in (r, Dfg.F) -> in_f.(r)
+    (* An FP operand as the array and index it lives at, so the ALU can
+       read it through the array-addressed entries without a boxed float
+       crossing the call. *)
+    let[@inline] farr = function
+      | Dfg.Node _ -> vf
+      | Dfg.Reg_in (_, Dfg.F) -> in_f
       | Dfg.Reg_in (r, Dfg.X) ->
         raise (Exec_fail (Printf.sprintf "FP read of int live-in %s" (Reg.name r)))
     in
-    (* Find-or-create an edge histogram; shared by compiled edges (which
-       then cache the result) and dynamic alias edges. *)
+    let[@inline] fidx = function Dfg.Node i -> i | Dfg.Reg_in (r, _) -> r in
+    let[@inline] val_f s = (farr s).(fidx s) in
+    let zero = [| 0.0 |] in
+    (* Find-or-create an edge histogram's cells; shared by compiled edges
+       (which then cache the result) and dynamic alias edges. *)
     let edge_hist i j =
       match Hashtbl.find_opt edge_lat (i, j) with
       | Some h -> h
@@ -288,18 +326,17 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
             Hashtbl.add edge_subgrps i g;
             g
         in
-        let h = Stats.histogram sub (string_of_int j) in
+        let h = Stats.cells (Stats.histogram sub (string_of_int j)) in
         Hashtbl.add edge_lat (i, j) h;
         h
     in
     (* Per-iteration cursor state, hoisted so the hot closures below are
        built once per execution rather than once per node firing. *)
     let cur_inst = ref 0 in
-    let cur_start = ref 0.0 in
-    let arrival = ref 0.0 in
-    let arr_nonoc = ref 0.0 in
+    let cur =
+      { start = 0.0; arrival = 0.0; arr_nonoc = 0.0; oplat = 1.0; pq = 0.0; fu_bound = 1.0 }
+    in
     let mem_accesses = ref 0 in
-    let fu_bound = ref 1.0 in
     (* Dynamic (alias) dependence: a load waiting on a same-word store
        discovered this iteration. Rare — takes the uncompiled path through
        the placement tables, exactly like the reference engine's [dep]. *)
@@ -308,25 +345,61 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
       match Placement.route pl i j with
       | Interconnect.Local ->
         act.Activity.local_transfers <- act.Activity.local_transfers + 1;
-        Stats.observe (edge_hist i j) base;
-        arrival := Float.max !arrival (completes.(i) +. base);
-        if prof then arr_nonoc := Float.max !arr_nonoc (completes.(i) +. base)
+        record (edge_hist i j) base;
+        cur.arrival <- fmax cur.arrival (completes.(i) +. base);
+        if prof then cur.arr_nonoc <- fmax cur.arr_nonoc (completes.(i) +. base)
       | Interconnect.Noc ->
         let slice = Interconnect.noc_slice grid (Placement.coord_of pl i) in
-        let abs_out = !cur_start +. completes.(i) in
-        let inject = Contention.claim (noc_slot !cur_inst slice) abs_out in
+        let abs_out = cur.start +. completes.(i) in
+        let inject = claim (noc_slot !cur_inst slice) abs_out in
         act.Activity.noc_transfers <- act.Activity.noc_transfers + 1;
-        Stats.observe noc_queue (inject -. abs_out);
+        record noc_queue (inject -. abs_out);
         let lat = base +. (inject -. abs_out) in
-        Stats.observe (edge_hist i j) lat;
-        arrival := Float.max !arrival (completes.(i) +. lat);
-        if prof then arr_nonoc := Float.max !arr_nonoc (completes.(i) +. base)
+        record (edge_hist i j) lat;
+        cur.arrival <- fmax cur.arrival (completes.(i) +. lat);
+        if prof then cur.arr_nonoc <- fmax cur.arr_nonoc (completes.(i) +. base)
     in
-    let claim_port abs_ready =
-      let issue = Contention.claim_issue ports abs_ready in
-      let delay = issue -. abs_ready in
-      Stats.observe port_queue delay;
-      delay
+    (* The memory side of a firing load or store [j] at [addr]: alias
+       wait, forwarding, port claim and cache latency, leaving the node's
+       latency and port-queue delay in the cursor. *)
+    let mem_access j ~load addr =
+      incr mem_accesses;
+      act.Activity.mem_ops <- act.Activity.mem_ops + 1;
+      (* Dynamic disambiguation: an aliasing earlier store forwards
+         through the LSU broadcast; wait for it. *)
+      if load then begin
+        let s = store_lookup addr in
+        if s >= 0 then dep_dyn s j
+      end;
+      if load && forwarded.(j) then begin
+        act.Activity.forwarded_loads <- act.Activity.forwarded_loads + 1;
+        cur.oplat <- 2.0
+      end
+      else if load && vector_member.(j) then cur.oplat <- 1.0
+      else begin
+        let abs_ready = cur.start +. cur.arrival in
+        let queue = claim ports abs_ready -. abs_ready in
+        record port_queue queue;
+        let cache =
+          if load then Hierarchy.load_latency hier addr
+          else Hierarchy.store_latency hier addr
+        in
+        let lat =
+          if load && prefetched.(j) then
+            (* Issued an iteration ahead: only the hit path shows. *)
+            queue +. float_of_int (Hierarchy.min_latency hier)
+          else queue +. float_of_int cache
+        in
+        record amat.(j) lat;
+        cur.oplat <- lat;
+        cur.pq <- queue;
+        match attribution with
+        | Some a ->
+          Attribution.note_port_access a ~port:(Contention.last_slot ports)
+            ~issue:(cur.start +. cur.arrival +. queue)
+            ~service:(lat -. queue)
+        | None -> ()
+      end
     in
     let corrupt_latch j ~value ~stuck =
       let nd = nodes.(j) in
@@ -361,13 +434,13 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
         let inst = !iterations mod tiling in
         let iter_start = inst_next.(inst) in
         cur_inst := inst;
-        cur_start := iter_start;
+        cur.start <- iter_start;
         incr cur_gen;
         let strikes =
           match fault with None -> [] | Some f -> (Fault.tick f).Fault.strikes
         in
         let first = !iterations = 0 in
-        fu_bound := 1.0;
+        cur.fu_bound <- 1.0;
         mem_accesses := 0;
         for j = 0 to n - 1 do
           let nd = nodes.(j) in
@@ -412,8 +485,8 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
             (* Arrival of inputs (Equation 2, with contention). [arr_nonoc]
                shadows the fold with NoC queueing deducted — the profiler's
                NoC-stall share of the arrival gap. *)
-            arrival := 0.0;
-            arr_nonoc := 0.0;
+            cur.arrival <- 0.0;
+            cur.arr_nonoc <- 0.0;
             let slices = eslice.(j) in
             for d = 0 to ndeps - 1 do
               let i = deps.(d) in
@@ -423,26 +496,26 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
                 if slice < 0 then begin
                   act.Activity.local_transfers <- act.Activity.local_transfers + 1;
                   if prof then
-                    arr_nonoc := Float.max !arr_nonoc (completes.(i) +. base);
+                    cur.arr_nonoc <- fmax cur.arr_nonoc (completes.(i) +. base);
                   base
                 end
                 else begin
                   let abs_out = iter_start +. completes.(i) in
-                  let inject = Contention.claim (noc_slot inst slice) abs_out in
+                  let inject = claim (noc_slot inst slice) abs_out in
                   act.Activity.noc_transfers <- act.Activity.noc_transfers + 1;
-                  Stats.observe noc_queue (inject -. abs_out);
+                  record noc_queue (inject -. abs_out);
                   if prof then
-                    arr_nonoc := Float.max !arr_nonoc (completes.(i) +. base);
+                    cur.arr_nonoc <- fmax cur.arr_nonoc (completes.(i) +. base);
                   base +. (inject -. abs_out)
                 end
               in
               (match hists.(d) with
-              | Some h -> Stats.observe h lat
+              | Some h -> record h lat
               | None ->
                 let h = edge_hist i j in
                 hists.(d) <- Some h;
-                Stats.observe h lat);
-              arrival := Float.max !arrival (completes.(i) +. lat)
+                record h lat);
+              cur.arrival <- fmax cur.arrival (completes.(i) +. lat)
             done
           end
           else begin
@@ -451,18 +524,18 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
             act.Activity.local_transfers <- act.Activity.local_transfers + ndeps;
             for d = 0 to ndeps - 1 do
               match hists.(d) with
-              | Some h -> Stats.observe h bases.(d)
+              | Some h -> record h bases.(d)
               | None ->
                 let h = edge_hist deps.(d) j in
                 hists.(d) <- Some h;
-                Stats.observe h bases.(d)
+                record h bases.(d)
             done;
-            arrival := arr_cache.(j);
-            if prof then arr_nonoc := !arrival
+            cur.arrival <- arr_cache.(j);
+            if prof then cur.arr_nonoc <- cur.arrival
           end;
           (* Functional execution + operation latency. *)
-          let oplat = ref 1.0 in
-          let pq = ref 0.0 in
+          cur.oplat <- 1.0;
+          cur.pq <- 0.0;
           if disabled then begin
             act.Activity.disabled_ops <- act.Activity.disabled_ops + 1;
             (match (Isa.writes_int nd.Dfg.instr, nd.Dfg.hidden) with
@@ -476,60 +549,23 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
             if cls = Isa.C_branch then vx.(j) <- 0
           end
           else begin
-            let mem_access ~load ~addr =
-              incr mem_accesses;
-              act.Activity.mem_ops <- act.Activity.mem_ops + 1;
-              (* Dynamic disambiguation: an aliasing earlier store forwards
-                 through the LSU broadcast; wait for it. *)
-              if load then begin
-                let s = store_lookup addr in
-                if s >= 0 then dep_dyn s j
-              end;
-              if load && forwarded.(j) then begin
-                act.Activity.forwarded_loads <- act.Activity.forwarded_loads + 1;
-                oplat := 2.0
-              end
-              else if load && vector_member.(j) then oplat := 1.0
-              else begin
-                let queue = claim_port (iter_start +. !arrival) in
-                let cache =
-                  if load then Hierarchy.load_latency hier addr
-                  else Hierarchy.store_latency hier addr
-                in
-                let lat =
-                  if load && prefetched.(j) then
-                    (* Issued an iteration ahead: only the hit path shows. *)
-                    queue +. float_of_int (Hierarchy.min_latency hier)
-                  else queue +. float_of_int cache
-                in
-                Stats.observe amat.(j) lat;
-                oplat := lat;
-                pq := queue;
-                match attribution with
-                | Some a ->
-                  Attribution.note_port_access a ~port:(Contention.last_slot ports)
-                    ~issue:(iter_start +. !arrival +. queue)
-                    ~service:(lat -. queue)
-                | None -> ()
-              end
-            in
             match nd.Dfg.instr with
             | Isa.Rtype (op, _, _, _) ->
               act.Activity.int_ops <- act.Activity.int_ops + 1;
               vx.(j) <- Interp.Alu.rtype op (val_i nd.Dfg.srcs.(0)) (val_i nd.Dfg.srcs.(1));
-              oplat := cls_lat.(j)
+              cur.oplat <- cls_lat.(j)
             | Isa.Itype (op, _, _, imm) ->
               act.Activity.int_ops <- act.Activity.int_ops + 1;
               vx.(j) <- Interp.Alu.itype op (val_i nd.Dfg.srcs.(0)) imm;
-              oplat := cls_lat.(j)
+              cur.oplat <- cls_lat.(j)
             | Isa.Lui (_, imm) ->
               act.Activity.int_ops <- act.Activity.int_ops + 1;
               vx.(j) <- s32 imm;
-              oplat := cls_lat.(j)
+              cur.oplat <- cls_lat.(j)
             | Isa.Auipc (_, imm) ->
               act.Activity.int_ops <- act.Activity.int_ops + 1;
               vx.(j) <- s32 (nd.Dfg.addr + imm);
-              oplat := cls_lat.(j)
+              cur.oplat <- cls_lat.(j)
             | Isa.Load (op, _, _, off) ->
               let addr = u32 (val_i nd.Dfg.srcs.(0) + off) in
               vx.(j) <-
@@ -539,11 +575,11 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
                 | LH -> Main_memory.load_half mem addr
                 | LHU -> Main_memory.load_half_u mem addr
                 | LW -> Main_memory.load_word mem addr);
-              mem_access ~load:true ~addr
+              mem_access j ~load:true addr
             | Isa.Flw (_, _, off) ->
               let addr = u32 (val_i nd.Dfg.srcs.(0) + off) in
-              vf.(j) <- Main_memory.load_float32 mem addr;
-              mem_access ~load:true ~addr
+              vf.(j) <- Int32.float_of_bits (Int32.of_int (Main_memory.load_word mem addr));
+              mem_access j ~load:true addr
             | Isa.Store (op, _, _, off) ->
               let addr = u32 (val_i nd.Dfg.srcs.(1) + off) in
               let v = val_i nd.Dfg.srcs.(0) in
@@ -552,67 +588,78 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
               | SH -> Main_memory.store_half mem addr v
               | SW -> Main_memory.store_word mem addr v);
               store_record j addr;
-              mem_access ~load:false ~addr
+              mem_access j ~load:false addr
             | Isa.Fsw (_, _, off) ->
               let addr = u32 (val_i nd.Dfg.srcs.(1) + off) in
-              Main_memory.store_float32 mem addr (val_f nd.Dfg.srcs.(0));
+              Main_memory.store_word mem addr
+                (Int32.to_int (Int32.bits_of_float (val_f nd.Dfg.srcs.(0))));
               store_record j addr;
-              mem_access ~load:false ~addr
+              mem_access j ~load:false addr
             | Isa.Branch (op, _, _, _) ->
               act.Activity.branch_ops <- act.Activity.branch_ops + 1;
               let taken =
                 Interp.Alu.branch_taken op (val_i nd.Dfg.srcs.(0)) (val_i nd.Dfg.srcs.(1))
               in
               vx.(j) <- (if taken then 1 else 0);
-              oplat := cls_lat.(j)
+              cur.oplat <- cls_lat.(j)
             | Isa.Ftype (op, _, _, _) ->
               act.Activity.fp_ops <- act.Activity.fp_ops + 1;
-              let a = val_f nd.Dfg.srcs.(0) in
-              let b = if Array.length nd.Dfg.srcs > 1 then val_f nd.Dfg.srcs.(1) else 0.0 in
-              vf.(j) <- Interp.Alu.ftype op a b;
-              oplat := cls_lat.(j)
+              let a = nd.Dfg.srcs.(0) in
+              let aa = farr a in
+              let ba, bi =
+                if Array.length nd.Dfg.srcs > 1 then
+                  let b = nd.Dfg.srcs.(1) in
+                  (farr b, fidx b)
+                else (zero, 0)
+              in
+              Interp.Alu.ftype_into op vf j aa (fidx a) ba bi;
+              cur.oplat <- cls_lat.(j)
             | Isa.Fcmp (op, _, _, _) ->
               act.Activity.fp_ops <- act.Activity.fp_ops + 1;
-              vx.(j) <- Interp.Alu.fcmp op (val_f nd.Dfg.srcs.(0)) (val_f nd.Dfg.srcs.(1));
-              oplat := cls_lat.(j)
+              let a = nd.Dfg.srcs.(0) and b = nd.Dfg.srcs.(1) in
+              let aa = farr a in
+              vx.(j) <- Interp.Alu.fcmp_at op aa (fidx a) (farr b) (fidx b);
+              cur.oplat <- cls_lat.(j)
             | Isa.Fcvt_w_s (_, _) ->
               act.Activity.fp_ops <- act.Activity.fp_ops + 1;
-              vx.(j) <- Interp.Alu.fcvt_w_s (val_f nd.Dfg.srcs.(0));
-              oplat := cls_lat.(j)
+              let a = nd.Dfg.srcs.(0) in
+              vx.(j) <- Interp.Alu.fcvt_w_s_at (farr a) (fidx a);
+              cur.oplat <- cls_lat.(j)
             | Isa.Fcvt_s_w (_, _) ->
               act.Activity.fp_ops <- act.Activity.fp_ops + 1;
-              vf.(j) <- Interp.Alu.fcvt_s_w (val_i nd.Dfg.srcs.(0));
-              oplat := cls_lat.(j)
+              Interp.Alu.fcvt_s_w_into vf j (val_i nd.Dfg.srcs.(0));
+              cur.oplat <- cls_lat.(j)
             | Isa.Fmv_x_w (_, _) ->
               act.Activity.int_ops <- act.Activity.int_ops + 1;
-              vx.(j) <- Interp.Alu.fmv_x_w (val_f nd.Dfg.srcs.(0));
-              oplat := cls_lat.(j)
+              let a = nd.Dfg.srcs.(0) in
+              vx.(j) <- Interp.Alu.fmv_x_w_at (farr a) (fidx a);
+              cur.oplat <- cls_lat.(j)
             | Isa.Fmv_w_x (_, _) ->
               act.Activity.int_ops <- act.Activity.int_ops + 1;
-              vf.(j) <- Interp.Alu.fmv_w_x (val_i nd.Dfg.srcs.(0));
-              oplat := cls_lat.(j)
+              Interp.Alu.fmv_w_x_into vf j (val_i nd.Dfg.srcs.(0));
+              cur.oplat <- cls_lat.(j)
             | Isa.Jal _ | Isa.Jalr _ | Isa.Ecall | Isa.Ebreak | Isa.Fence ->
               raise
                 (Exec_fail
                    (Printf.sprintf "node %d (%s) not executable on the fabric" j
                       (Format.asprintf "%a" Isa.pp nd.Dfg.instr)))
           end;
-          Stats.observe node_lat.(j) !oplat;
+          record node_lat.(j) cur.oplat;
           (match cls with
-          | Isa.C_div | Isa.C_fdiv -> fu_bound := Float.max !fu_bound !oplat
+          | Isa.C_div | Isa.C_fdiv -> cur.fu_bound <- fmax cur.fu_bound cur.oplat
           | _ -> ());
-          let comp = !arrival +. !oplat in
+          let comp = cur.arrival +. cur.oplat in
           changed.(j) <- comp <> completes.(j);
           completes.(j) <- comp;
-          arr_cache.(j) <- !arrival;
+          arr_cache.(j) <- cur.arrival;
           dis_prev.(j) <- disabled;
           (match attribution with
           | Some a ->
             Attribution.charge_op a ~lane:lane_of.(j)
-              ~start:(iter_start +. !arrival)
-              ~noc_wait:(!arrival -. !arr_nonoc)
-              ~port_wait:!pq
-              ~service:(!oplat -. !pq)
+              ~start:(iter_start +. cur.arrival)
+              ~noc_wait:(cur.arrival -. cur.arr_nonoc)
+              ~port_wait:cur.pq
+              ~service:(cur.oplat -. cur.pq)
               ~long_op:(match cls with Isa.C_div | Isa.C_fdiv -> true | _ -> false)
           | None -> ());
           (* Fault application: the latch corrupts after the node fires, so
@@ -634,17 +681,23 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
             (match applied with
             | Some k ->
               Fault.note_corruption f k;
-              if !first_corrupt = None then first_corrupt := Some iter_start
+              if !first_corrupt = None then first_corrupt := Some cur.start
             | None -> ())
           | _ -> ())
         done;
-        let iter_latency = Array.fold_left Float.max 0.0 completes in
+        let iter_latency =
+          let l = ref 0.0 in
+          for k = 0 to n - 1 do
+            l := fmax !l completes.(k)
+          done;
+          !l
+        in
         if debug && !iterations < 40 then
           Printf.eprintf "iter=%d inst=%d start=%.1f lat=%.1f fu=%.1f\n" !iterations
-            inst iter_start iter_latency !fu_bound;
+            inst cur.start iter_latency cur.fu_bound;
         incr iterations;
         act.Activity.iterations <- act.Activity.iterations + 1;
-        end_time := Float.max !end_time (iter_start +. iter_latency);
+        end_time := fmax !end_time (iter_start +. iter_latency);
         let continue_loop = vx.(dfg.Dfg.back_branch) <> 0 in
         (* Next iteration's live-ins are this iteration's live-outs. *)
         for k = 0 to Array.length live_out_x - 1 do
@@ -660,22 +713,22 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
         (if config.pipelined then begin
            let ii_rec = ref 1.0 in
            for k = 0 to Array.length carried_nodes - 1 do
-             ii_rec := Float.max !ii_rec completes.(carried_nodes.(k))
+             ii_rec := fmax !ii_rec completes.(carried_nodes.(k))
            done;
            let ii_mem =
              float_of_int (Stats.div_ceil !mem_accesses effective_ports)
            in
-           let ii = Float.max (Float.max !ii_rec ii_mem) !fu_bound in
-           Stats.observe ii_achieved ii;
+           let ii = fmax (fmax !ii_rec ii_mem) cur.fu_bound in
+           record ii_achieved ii;
            (match attribution with
            | Some a ->
-             Attribution.observe_ii a ~rec_:!ii_rec ~mem:ii_mem ~fu:!fu_bound
+             Attribution.observe_ii a ~rec_:!ii_rec ~mem:ii_mem ~fu:cur.fu_bound
                ~achieved:ii
            | None -> ());
            inst_next.(inst) <- iter_start +. ii
          end
          else begin
-           Stats.observe ii_achieved (iter_latency +. 1.0);
+           record ii_achieved (iter_latency +. 1.0);
            (match attribution with
            | Some a ->
              (* Non-pipelined: the full iteration latency is the recurrence. *)

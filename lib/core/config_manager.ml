@@ -18,12 +18,23 @@ type cached = {
   mutable abort_reason : string option;
 }
 
-type t = { table : (int, cached) Hashtbl.t }
+(* Keyed by entry address and probed once per retired instruction, so keys
+   compare as ints rather than through the polymorphic compare. The hash is
+   the generic one the polymorphic table used: same buckets, so {!entries}
+   (and with it the controller's region report order) is unchanged. *)
+module Entry_tbl = Hashtbl.Make (struct
+  type t = int
 
-let create () = { table = Hashtbl.create 8 }
-let find t entry = Hashtbl.find_opt t.table entry
-let add t cached = Hashtbl.replace t.table cached.region.Region.entry cached
-let entries t = Hashtbl.fold (fun _ c acc -> c :: acc) t.table []
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+type t = { table : cached Entry_tbl.t }
+
+let create () = { table = Entry_tbl.create 8 }
+let find t entry = Entry_tbl.find_opt t.table entry
+let add t cached = Entry_tbl.replace t.table cached.region.Region.entry cached
+let entries t = Entry_tbl.fold (fun _ c acc -> c :: acc) t.table []
 
 let ldfg_build_cycles dfg = 8 + Dfg.node_count dfg
 

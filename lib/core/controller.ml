@@ -196,7 +196,7 @@ let run ?options ?hier ?stats prog machine =
   let f_quarantined = Stats.counter faults_grp "quarantined" in
   let f_config_upsets = Stats.counter faults_grp "config_upsets" in
   let f_latency = Stats.histogram faults_grp "detection_latency" in
-  let cpu_cycles_now () = (Ooo_model.summary cpu_model).Ooo_model.cycles in
+  let cpu_cycles_now () = Ooo_model.cycles cpu_model in
   Stats.int_probe ctl "cpu_cycles" cpu_cycles_now;
   Stats.int_probe ctl "total_cycles" (fun () ->
       cpu_cycles_now () + Stats.get accel_cycles + Stats.get overhead);
@@ -510,7 +510,8 @@ let run ?options ?hier ?stats prog machine =
 
   let halt = ref None in
   let steps = ref 0 in
-  while !halt = None do
+  let ev = Interp.blank_event () in
+  while Option.is_none !halt do
     if !steps >= opts.max_steps then halt := Some Interp.Step_limit
     else begin
       (* Offload / re-arm checks happen at instruction boundaries, i.e. when
@@ -545,9 +546,9 @@ let run ?options ?hier ?stats prog machine =
                ("rearm " ^ rname c.Config_manager.region.Region.entry));
           pending := Some (c, cpu_cycles_now () + cost)
         | None -> ()));
-      match Interp.step prog machine with
-      | Error h -> halt := Some h
-      | Ok ev -> (
+      match Interp.step_into prog machine ev with
+      | Some h -> halt := Some h
+      | None -> (
         incr steps;
         Ooo_model.feed cpu_model ev;
         match Loop_detector.feed detector ev with

@@ -92,7 +92,7 @@ let vet t ~entry ~last ~observed =
 
 let feed t (ev : Interp.event) =
   match (ev.instr, ev.taken) with
-  | Isa.Branch (_, _, _, off), Some true when off < 0 -> begin
+  | Isa.Branch (_, _, _, off), true when off < 0 -> begin
     let entry = ev.addr + off and last = ev.addr in
     if Hashtbl.mem t.decided entry then None
     else begin

@@ -17,17 +17,25 @@ type halt =
   | Step_limit       (** the [max_steps] budget ran out *)
   | Fault of string  (** decode or memory fault *)
 
-(** One retired dynamic instruction. *)
+(** One retired dynamic instruction. The stepper fills one event in place
+    per retired instruction; a consumer that keeps an event past the next
+    step must copy it. *)
 type event = {
-  addr : int;             (** instruction address *)
-  instr : Isa.t;
-  mem_addr : int option;  (** effective address for memory ops *)
-  taken : bool option;    (** direction for conditional branches *)
-  next_pc : int;
+  mutable addr : int;      (** instruction address *)
+  mutable instr : Isa.t;
+  mutable mem_addr : int;  (** effective address for memory ops, else 0 *)
+  mutable taken : bool;    (** direction for conditional branches, else false *)
+  mutable next_pc : int;
 }
 
-val step : Program.t -> Machine.t -> (event, halt) result
-(** Execute the instruction at [Machine.pc], updating state. *)
+val blank_event : unit -> event
+(** A fresh event to step into. *)
+
+val step_into : Program.t -> Machine.t -> event -> halt option
+(** Execute the instruction at [Machine.pc], updating state and describing
+    it in the event: [None] when it retired, [Some halt] when execution
+    stops there (the state is then unchanged). Allocates nothing when an
+    instruction retires. *)
 
 val run :
   ?max_steps:int ->
@@ -36,7 +44,8 @@ val run :
   Machine.t ->
   halt * int
 (** [run prog m] steps until a halt condition, returning the reason and the
-    number of instructions retired. [max_steps] defaults to 100 million. *)
+    number of instructions retired. [max_steps] defaults to 100 million.
+    [on_event] sees every retired instruction through one reused event. *)
 
 (** {1 32-bit arithmetic semantics}
 
@@ -54,4 +63,19 @@ module Alu : sig
   val fcvt_s_w : int -> float
   val fmv_x_w : float -> int
   val fmv_w_x : int -> float
+
+  (** The FP operations with operands read from, and results written to,
+      float arrays: [ftype_into op d di a ai b bi] is
+      [d.(di) <- ftype op a.(ai) b.(bi)], and likewise for the rest. The
+      accelerator engine calls these so that no float is boxed crossing the
+      module boundary. *)
+
+  val ftype_into :
+    Isa.fop -> float array -> int -> float array -> int -> float array -> int -> unit
+
+  val fcmp_at : Isa.fcmp -> float array -> int -> float array -> int -> int
+  val fcvt_w_s_at : float array -> int -> int
+  val fmv_x_w_at : float array -> int -> int
+  val fcvt_s_w_into : float array -> int -> int -> unit
+  val fmv_w_x_into : float array -> int -> int -> unit
 end

@@ -94,6 +94,9 @@ let create cfg hier =
     fetch_refills = 0;
   }
 
+(* [Stdlib.max] is polymorphic: without flambda every call is a C compare. *)
+let[@inline] imax (a : int) b = if a >= b then a else b
+
 (* Claim the earliest-free unit from a pool; mark it busy until
    [issue + occupancy] and return the earliest cycle the op can issue given
    unit availability. *)
@@ -102,7 +105,7 @@ let claim_unit pool ~not_before ~occupancy =
   for i = 1 to Array.length pool - 1 do
     if pool.(i) < pool.(!best) then best := i
   done;
-  let issue = max not_before pool.(!best) in
+  let issue = imax not_before pool.(!best) in
   pool.(!best) <- issue + occupancy;
   issue
 
@@ -115,7 +118,7 @@ let fetch_time t =
   t.fetch_cycle
 
 let commit_time t ~complete =
-  let target = max complete t.last_commit in
+  let target = imax complete t.last_commit in
   if target > t.commit_cycle then begin
     t.commit_cycle <- target;
     t.committed_this_cycle <- 0
@@ -128,62 +131,72 @@ let commit_time t ~complete =
   t.last_commit <- t.commit_cycle;
   t.commit_cycle
 
+(* Operands and destinations are matched directly on the instruction (the
+   same registers {!Isa.reads}, {!Isa.writes_int} and {!Isa.writes_fp}
+   list), so accounting one instruction allocates nothing. Ready cycles are
+   never negative, so a missing operand reads as 0. *)
 let feed t (ev : Interp.event) =
   let cfg = t.cfg in
-  let cls = Isa.op_class ev.instr in
+  let instr = ev.instr in
+  let cls = Isa.op_class instr in
+  let ir = t.int_ready and fr = t.fp_ready in
   (* Operand readiness. *)
   let ready =
-    List.fold_left
-      (fun acc (r, file) ->
-        match file with
-        | `Int -> max acc t.int_ready.(r)
-        | `Fp -> max acc t.fp_ready.(r))
-      0 (Isa.reads ev.instr)
+    match instr with
+    | Isa.Rtype (_, _, a, b) | Isa.Branch (_, a, b, _) | Isa.Store (_, a, b, _) ->
+      imax ir.(a) ir.(b)
+    | Isa.Itype (_, _, a, _) | Isa.Load (_, _, a, _) | Isa.Jalr (_, a, _)
+    | Isa.Flw (_, a, _) | Isa.Fcvt_s_w (_, a) | Isa.Fmv_w_x (_, a) ->
+      ir.(a)
+    | Isa.Ftype (Isa.FSQRT, _, a, _) | Isa.Fcvt_w_s (_, a) | Isa.Fmv_x_w (_, a) -> fr.(a)
+    | Isa.Ftype (_, _, a, b) | Isa.Fcmp (_, _, a, b) -> imax fr.(a) fr.(b)
+    | Isa.Fsw (a, b, _) -> imax fr.(a) ir.(b)
+    | Isa.Lui _ | Isa.Auipc _ | Isa.Jal _ | Isa.Ecall | Isa.Ebreak | Isa.Fence -> 0
   in
   (* Structural constraints: fetch slot and ROB space. *)
   let fetched = fetch_time t in
   let rob_slot = t.commit_ring.(t.seq mod cfg.rob_size) in
   if rob_slot > ready && rob_slot > fetched then t.rob_stalls <- t.rob_stalls + 1;
-  let not_before = max (max ready fetched) rob_slot in
+  let not_before = imax (imax ready fetched) rob_slot in
   (* Functional unit and latency. *)
-  let issue, latency =
+  let complete =
     match cls with
     | Isa.C_alu | Isa.C_branch | Isa.C_jump | Isa.C_system ->
-      (claim_unit t.alu_free ~not_before ~occupancy:1, cfg.latencies cls)
-    | Isa.C_mul -> (claim_unit t.mul_free ~not_before ~occupancy:1, cfg.latencies cls)
+      claim_unit t.alu_free ~not_before ~occupancy:1 + cfg.latencies cls
+    | Isa.C_mul -> claim_unit t.mul_free ~not_before ~occupancy:1 + cfg.latencies cls
     | Isa.C_div ->
       let occ = Latency.occupancy_cpu Isa.C_div in
-      (claim_unit t.div_free ~not_before ~occupancy:occ, cfg.latencies cls)
+      claim_unit t.div_free ~not_before ~occupancy:occ + cfg.latencies cls
     | Isa.C_fadd | Isa.C_fmul ->
-      (claim_unit t.fp_free ~not_before ~occupancy:1, cfg.latencies cls)
+      claim_unit t.fp_free ~not_before ~occupancy:1 + cfg.latencies cls
     | Isa.C_fdiv ->
       let occ = Latency.occupancy_cpu Isa.C_fdiv in
-      (claim_unit t.fp_free ~not_before ~occupancy:occ, cfg.latencies cls)
+      claim_unit t.fp_free ~not_before ~occupancy:occ + cfg.latencies cls
     | Isa.C_load ->
-      let addr = Option.value ev.mem_addr ~default:0 in
-      let lat = Hierarchy.load_latency t.hier addr in
+      let lat = Hierarchy.load_latency t.hier ev.mem_addr in
       t.load_latency_sum <- t.load_latency_sum + lat;
-      (claim_unit t.port_free ~not_before ~occupancy:1, lat)
+      claim_unit t.port_free ~not_before ~occupancy:1 + lat
     | Isa.C_store ->
-      let addr = Option.value ev.mem_addr ~default:0 in
       (* Stores retire into the store buffer; cache state is updated but the
          latency is off the critical path. *)
-      ignore (Hierarchy.store_latency t.hier addr);
-      (claim_unit t.port_free ~not_before ~occupancy:1, 1)
+      ignore (Hierarchy.store_latency t.hier ev.mem_addr);
+      claim_unit t.port_free ~not_before ~occupancy:1 + 1
   in
-  let complete = issue + latency in
   (* Destination readiness. *)
-  (match Isa.writes_int ev.instr with
-  | Some rd when rd <> 0 -> t.int_ready.(rd) <- complete
-  | Some _ | None -> ());
-  (match Isa.writes_fp ev.instr with
-  | Some fd -> t.fp_ready.(fd) <- complete
-  | None -> ());
-  (* Branch resolution and misprediction. *)
-  (match (cls, ev.taken) with
-  | Isa.C_branch, Some actual ->
+  (match instr with
+  | Isa.Rtype (_, rd, _, _) | Isa.Itype (_, rd, _, _) | Isa.Load (_, rd, _, _)
+  | Isa.Lui (rd, _) | Isa.Auipc (rd, _) | Isa.Jal (rd, _) | Isa.Jalr (rd, _, _)
+  | Isa.Fcmp (_, rd, _, _) | Isa.Fcvt_w_s (rd, _) | Isa.Fmv_x_w (rd, _) ->
+    if rd <> 0 then ir.(rd) <- complete
+  | Isa.Ftype (_, fd, _, _) | Isa.Flw (fd, _, _) | Isa.Fcvt_s_w (fd, _)
+  | Isa.Fmv_w_x (fd, _) ->
+    fr.(fd) <- complete
+  | Isa.Store _ | Isa.Branch _ | Isa.Fsw _ | Isa.Ecall | Isa.Ebreak | Isa.Fence -> ());
+  (* Branch resolution and misprediction, then class accounting. *)
+  (match cls with
+  | Isa.C_branch ->
     t.branches <- t.branches + 1;
-    let correct = Predictor.predict_and_update t.predictor ev.addr actual in
+    let correct = Predictor.predict_and_update t.predictor ev.addr ev.taken in
     (* A zero penalty models predicated execution (no control speculation at
        all); otherwise a wrong prediction refetches after resolution. *)
     if (not correct) && cfg.mispredict_penalty > 0 then begin
@@ -194,18 +207,17 @@ let feed t (ev : Interp.event) =
         t.fetched_this_cycle <- 0
       end
     end
-  | _ -> ());
-  (* Class accounting. *)
-  (match cls with
   | Isa.C_load -> t.loads <- t.loads + 1
   | Isa.C_store -> t.stores <- t.stores + 1
   | Isa.C_fadd | Isa.C_fmul | Isa.C_fdiv -> t.fp_ops <- t.fp_ops + 1
   | Isa.C_alu | Isa.C_mul | Isa.C_div -> t.int_ops <- t.int_ops + 1
-  | Isa.C_branch | Isa.C_jump | Isa.C_system -> ());
+  | Isa.C_jump | Isa.C_system -> ());
   (* In-order commit bounds ROB reuse. *)
   let commit = commit_time t ~complete in
   t.commit_ring.(t.seq mod cfg.rob_size) <- commit;
   t.seq <- t.seq + 1
+
+let cycles t = t.last_commit
 
 let summary t =
   {

@@ -35,7 +35,12 @@ type t
 val create : config -> Hierarchy.t -> t
 
 val feed : t -> Interp.event -> unit
-(** Account one retired instruction. Call in program order. *)
+(** Account one retired instruction. Call in program order. Allocates
+    nothing. *)
+
+val cycles : t -> int
+(** The live commit cycle of the last instruction fed ([summary]'s
+    [cycles], without building the summary). *)
 
 type summary = {
   cycles : int;           (** commit cycle of the last instruction *)

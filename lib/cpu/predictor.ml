@@ -33,7 +33,9 @@ let predict t addr = t.counters.(index t addr) >= 2
 let update t addr actual =
   let i = index t addr in
   let c = t.counters.(i) in
-  t.counters.(i) <- (if actual then min 3 (c + 1) else max 0 (c - 1));
+  (* Typed saturation: [Stdlib.min]/[max] would be polymorphic C calls. *)
+  t.counters.(i) <-
+    (if actual then if c < 3 then c + 1 else 3 else if c > 0 then c - 1 else 0);
   match t.kind with
   | Bimodal -> ()
   | Gshare _ -> t.history <- (t.history lsl 1) lor (if actual then 1 else 0)

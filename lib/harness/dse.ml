@@ -169,20 +169,6 @@ let grid_of_point (p : point) =
     ~name:(Printf.sprintf "G%dx%d" p.rows p.cols)
     ()
 
-let hier_config_of_point (p : point) =
-  let dc = Hierarchy.default_config in
-  {
-    dc with
-    Hierarchy.l1 =
-      Cache.config ~size_bytes:(p.l1_kb * 1024) ~ways:dc.Hierarchy.l1.Cache.ways
-        ~line_bytes:dc.Hierarchy.l1.Cache.line_bytes
-        ~hit_latency:dc.Hierarchy.l1.Cache.hit_latency;
-    l2 =
-      Cache.config ~size_bytes:(p.l2_kb * 1024) ~ways:dc.Hierarchy.l2.Cache.ways
-        ~line_bytes:dc.Hierarchy.l2.Cache.line_bytes
-        ~hit_latency:dc.Hierarchy.l2.Cache.hit_latency;
-  }
-
 let rejected (p : point) reason =
   {
     point = p;
@@ -207,7 +193,7 @@ let evaluate (p : point) =
     let config = Runner.optimized_config ~k ~dfg ~grid placement in
     let mem = Main_memory.create () in
     let machine = Kernel.prepare k mem in
-    let hier = Hierarchy.create (hier_config_of_point p) in
+    let hier = Hierarchy.create (Hierarchy.sized ~l1_kb:p.l1_kb ~l2_kb:p.l2_kb) in
     match Engine.execute ~config ~dfg ~machine ~hier () with
     | Error e -> rejected p e
     | Ok res ->

@@ -80,20 +80,6 @@ let fabric_of_json j =
 
 type observation = { cycles : int; offloads : int; mem_checksum : int }
 
-let hier_config (f : fabric) =
-  let dc = Hierarchy.default_config in
-  {
-    dc with
-    Hierarchy.l1 =
-      Cache.config ~size_bytes:(f.l1_kb * 1024) ~ways:dc.Hierarchy.l1.Cache.ways
-        ~line_bytes:dc.Hierarchy.l1.Cache.line_bytes
-        ~hit_latency:dc.Hierarchy.l1.Cache.hit_latency;
-    l2 =
-      Cache.config ~size_bytes:(f.l2_kb * 1024) ~ways:dc.Hierarchy.l2.Cache.ways
-        ~line_bytes:dc.Hierarchy.l2.Cache.line_bytes
-        ~hit_latency:dc.Hierarchy.l2.Cache.hit_latency;
-  }
-
 let run_case ?defect spec (f : fabric) =
   let ( let* ) = Result.bind in
   let* b = Tile_lower.lower ?defect spec in
@@ -112,7 +98,7 @@ let run_case ?defect spec (f : fabric) =
     { (Controller.default_options ~grid ~profile:f.profile ()) with
       Controller.kind = f.kind }
   in
-  let hier = Hierarchy.create (hier_config f) in
+  let hier = Hierarchy.create (Hierarchy.sized ~l1_kb:f.l1_kb ~l2_kb:f.l2_kb) in
   let report = Controller.run ~options ~hier b.Tile_lower.program machine in
   let* () =
     if report.Controller.halt = Interp.Ecall_halt then Ok ()

@@ -23,6 +23,10 @@ type outcome = Hit | Miss of { dirty_eviction : bool }
 type t
 
 val create : config -> t
+(** An empty cache. Lines are allocated in chunks of consecutive sets on the
+    first miss into a chunk, so creation costs a table of chunk pointers
+    whatever the capacity, and a run pays only for the sets it touches. *)
+
 val geometry : t -> config
 
 val access : t -> int -> write:bool -> outcome

@@ -13,6 +13,14 @@ let default_config =
     l2_shared_penalty = 1;
   }
 
+let sized ~l1_kb ~l2_kb =
+  let resize kb (c : Cache.config) =
+    Cache.config ~size_bytes:(kb * 1024) ~ways:c.Cache.ways ~line_bytes:c.Cache.line_bytes
+      ~hit_latency:c.Cache.hit_latency
+  in
+  let dc = default_config in
+  { dc with l1 = resize l1_kb dc.l1; l2 = resize l2_kb dc.l2 }
+
 type t = { cfg : config; l1 : Cache.t; l2 : Cache.t; sharers : int }
 
 let create ?(sharers = 1) (cfg : config) =

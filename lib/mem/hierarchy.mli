@@ -22,13 +22,18 @@ val default_config : config
 (** 64 KB / 4-way / 64 B / 2-cycle L1; 8 MB / 8-way / 64 B / 20-cycle L2;
     100-cycle DRAM. *)
 
+val sized : l1_kb:int -> l2_kb:int -> config
+(** {!default_config} with the L1 and L2 capacities replaced (in KiB), the
+    ways, line size and latencies kept — the fuzzer's and the DSE's sized
+    hierarchies. Raises [Invalid_argument] as {!Cache.config} does. *)
+
 type t
 
 val create : ?sharers:int -> config -> t
 (** A hierarchy with a private L1 and its own L2. [sharers] scales the L2
-    latency penalty (default 1 = no sharing). Costs the allocation of both
-    caches' arrays, proportional to their line counts (about 1 ms for the
-    default 8 MB L2). *)
+    latency penalty (default 1 = no sharing). Cheap at any capacity: both
+    caches start as tables of aliases to one shared empty chunk, and only
+    the chunks a run touches are allocated (see {!Cache}). *)
 
 val release : t -> unit
 (** Does nothing. Hierarchies are plain GC values; this stays only for the

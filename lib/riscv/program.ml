@@ -19,10 +19,12 @@ let code t = t.code
 let end_address t = t.base + (4 * Array.length t.code)
 let in_range t addr = addr >= t.base && addr < end_address t
 
+let slot t addr =
+  if in_range t addr && (addr - t.base) land 3 = 0 then (addr - t.base) lsr 2 else -1
+
 let fetch t addr =
-  if in_range t addr && (addr - t.base) mod 4 = 0 then
-    Some t.code.((addr - t.base) / 4)
-  else None
+  let i = slot t addr in
+  if i >= 0 then Some t.code.(i) else None
 
 let fetch_exn t addr =
   match fetch t addr with

@@ -36,6 +36,10 @@ val end_address : t -> int
 val in_range : t -> int -> bool
 (** Whether an address falls inside the code region. *)
 
+val slot : t -> int -> int
+(** [slot t addr] is the index in {!code} of the instruction at byte address
+    [addr], or -1 if out of range or misaligned. *)
+
 val fetch : t -> int -> Isa.t option
 (** [fetch t addr] is the instruction at byte address [addr], or [None] if
     out of range or misaligned. *)

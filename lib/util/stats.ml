@@ -68,12 +68,11 @@ let hist_mean h = if h.hcount = 0 then 0.0 else h.hsum /. float_of_int h.hcount
 
 type counter = { mutable c : int }
 
-type histogram = {
-  mutable n : int;
-  mutable sum : float;
-  mutable mn : float;
-  mutable mx : float;
-}
+(* A histogram is four unboxed float cells, [| count; sum; min; max |], so
+   [observe] stores without boxing (a record mixing an int count with float
+   fields boxes every float it stores). The count is exact up to 2^53
+   samples. *)
+type histogram = float array
 
 type node =
   | Counter of counter
@@ -137,15 +136,17 @@ let get c = c.c
 
 let histogram ?desc (g : group) name =
   ignore desc;
-  let h = { n = 0; sum = 0.0; mn = infinity; mx = neg_infinity } in
+  let h = [| 0.0; 0.0; infinity; neg_infinity |] in
   register g name (Histogram h);
   h
 
-let observe h x =
-  h.n <- h.n + 1;
-  h.sum <- h.sum +. x;
-  if x < h.mn then h.mn <- x;
-  if x > h.mx then h.mx <- x
+let observe (h : histogram) x =
+  h.(0) <- h.(0) +. 1.0;
+  h.(1) <- h.(1) +. x;
+  if x < h.(2) then h.(2) <- x;
+  if x > h.(3) then h.(3) <- x
+
+let cells (h : histogram) = h
 
 let probe ?desc (g : group) name f =
   ignore desc;
@@ -177,7 +178,10 @@ let snapshot (r : registry) : snapshot =
         match Hashtbl.find g.children name with
         | Counter c -> acc := (path, Value (VInt c.c)) :: !acc
         | Histogram h ->
-          acc := (path, Hist { hcount = h.n; hsum = h.sum; hmin = h.mn; hmax = h.mx }) :: !acc
+          let hist =
+            { hcount = int_of_float h.(0); hsum = h.(1); hmin = h.(2); hmax = h.(3) }
+          in
+          acc := (path, Hist hist) :: !acc
         | Probe f -> acc := (path, Value (f ())) :: !acc
         | Group child -> walk path child)
       (List.rev !(g.order))

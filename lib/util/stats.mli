@@ -86,6 +86,12 @@ val histogram : ?desc:string -> group -> string -> histogram
 
 val observe : histogram -> float -> unit
 
+val cells : histogram -> float array
+(** The histogram's storage, [[| count; sum; min; max |]], for a hot loop
+    in another module to record into without a call: a float passed to
+    {!observe} across a module boundary is boxed on every sample. A writer
+    must update the cells exactly as {!observe} does. *)
+
 val find_histogram : group -> string -> histogram option
 (** Lazy-creation helper for dynamically named stats (e.g. per-edge). *)
 

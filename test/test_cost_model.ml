@@ -370,34 +370,12 @@ let model_golden_pin () =
 
 let kmeans_estimate_words = 5_382
 
-(* Words [f] allocates: exact minor words plus the major-heap words it
-   allocated directly (promotions are minor words already counted). The
-   major counters are only folded in at collections, so settle them with a
-   minor collection and a major slice on both sides. *)
-let allocated_words f =
-  let settle () =
-    Gc.minor ();
-    ignore (Gc.major_slice 0)
-  in
-  settle ();
-  let before = Gc.quick_stat () in
-  let minor0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  let minor1 = Gc.minor_words () in
-  settle ();
-  let after = Gc.quick_stat () in
-  let major =
-    after.Gc.major_words -. before.Gc.major_words
-    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
-  in
-  int_of_float (minor1 -. minor0 +. major)
-
 let estimate_allocation_gate () =
   let config, dfg, iterations, _ = refine_inputs "kmeans" in
   let estimate () = Cost_model.estimate ~config ~dfg ~iterations () in
   ignore (estimate ());
   ignore (estimate ());
-  let words = allocated_words estimate in
+  let words = Test_alloc.allocated_words estimate in
   let budget = kmeans_estimate_words + (kmeans_estimate_words / 10) in
   if words > budget then
     Alcotest.failf "kmeans estimate allocated %d words, budget %d (measured %d + 10%%)"

@@ -46,7 +46,7 @@ let run_events cfg events =
   List.iter (Ooo_model.feed model) events;
   Ooo_model.summary model
 
-let ev ?(addr = 0x1000) ?mem_addr ?taken instr =
+let ev ?(addr = 0x1000) ?(mem_addr = 0) ?(taken = false) instr =
   { Interp.addr; instr; mem_addr; taken; next_pc = addr + 4 }
 
 let independent_adds n =
@@ -100,8 +100,8 @@ let ooo_rob_limits_miss_overlap () =
 let ooo_counters () =
   let events =
     [
-      { (ev (Isa.Load (Isa.LW, 1, 2, 0))) with Interp.mem_addr = Some 0 };
-      { (ev (Isa.Store (Isa.SW, 1, 2, 0))) with Interp.mem_addr = Some 4 };
+      { (ev (Isa.Load (Isa.LW, 1, 2, 0))) with Interp.mem_addr = 0 };
+      { (ev (Isa.Store (Isa.SW, 1, 2, 0))) with Interp.mem_addr = 4 };
       ev (Isa.Ftype (Isa.FADD, 1, 2, 3));
       ev (Isa.Rtype (Isa.ADD, 1, 2, 3));
       ev ~taken:false (Isa.Branch (Isa.BEQ, 1, 2, 8));

@@ -33,12 +33,13 @@ let trace_cache_capacity () =
 
 let feed_program prog machine detector max_steps =
   let verdicts = ref [] in
+  let ev = Interp.blank_event () in
   let rec go n =
     if n = 0 then ()
     else
-      match Interp.step prog machine with
-      | Error _ -> ()
-      | Ok ev ->
+      match Interp.step_into prog machine ev with
+      | Some _ -> ()
+      | None ->
         (match Loop_detector.feed detector ev with
         | Some v -> verdicts := v :: !verdicts
         | None -> ());

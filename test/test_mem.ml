@@ -260,6 +260,267 @@ let cache_config_validation () =
     (Invalid_argument "Cache.config: line size must be a power of two") (fun () ->
       ignore (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:48 ~hit_latency:1))
 
+(* Differential property: the chunked, lazily built [Cache] against a flat
+   reference model — the structure-of-arrays cache it replaced, kept here
+   verbatim (tags, flags and LRU stamps in three arrays indexed by
+   [set * ways + way]). Geometries span the default L1 and L2, the fuzzer's
+   L1/L2 sizes, caches with fewer sets than one chunk, wide caches whose
+   chunks outgrow the shared empty chunk, and random ones. Address streams
+   mix same-set conflict runs (so LRU victims and dirty evictions happen even
+   in an 8 MB L2), sequential walks and far jumps, with interleaved probes
+   and [invalidate_all]. Every outcome and every counter must match after
+   every operation. *)
+module Flat_cache = struct
+  type t = {
+    cfg : Cache.config;
+    tags : int array;
+    meta : int array;
+    lru : int array;
+    set_mask : int;
+    line_shift : int;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable writebacks : int;
+  }
+
+  let create (cfg : Cache.config) =
+    let nsets = cfg.Cache.size_bytes / (cfg.Cache.ways * cfg.Cache.line_bytes) in
+    let nlines = nsets * cfg.Cache.ways in
+    let line_shift =
+      let rec go n acc = if n = 1 then acc else go (n lsr 1) (acc + 1) in
+      go cfg.Cache.line_bytes 0
+    in
+    {
+      cfg;
+      tags = Array.make nlines 0;
+      meta = Array.make nlines 0;
+      lru = Array.make nlines 0;
+      set_mask = nsets - 1;
+      line_shift;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      writebacks = 0;
+    }
+
+  let find_way t base tag =
+    let ways = t.cfg.Cache.ways in
+    let rec go i =
+      if i = ways then -1
+      else if t.meta.(base + i) land 1 <> 0 && t.tags.(base + i) = tag then base + i
+      else go (i + 1)
+    in
+    go 0
+
+  let access t addr ~write =
+    t.clock <- t.clock + 1;
+    let line_addr = addr lsr t.line_shift in
+    let set = line_addr land t.set_mask in
+    let tag = line_addr in
+    let base = set * t.cfg.Cache.ways in
+    let i = find_way t base tag in
+    if i >= 0 then begin
+      t.hits <- t.hits + 1;
+      t.lru.(i) <- t.clock;
+      if write then t.meta.(i) <- t.meta.(i) lor 2;
+      Cache.Hit
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let best = ref base in
+      for k = base to base + t.cfg.Cache.ways - 1 do
+        if t.meta.(k) land 1 = 0 then begin
+          if t.meta.(!best) land 1 <> 0 then best := k
+        end
+        else if t.meta.(!best) land 1 <> 0 && t.lru.(k) < t.lru.(!best) then best := k
+      done;
+      let v = !best in
+      let dirty_eviction = t.meta.(v) land 3 = 3 in
+      if dirty_eviction then t.writebacks <- t.writebacks + 1;
+      t.tags.(v) <- tag;
+      t.meta.(v) <- (if write then 3 else 1);
+      t.lru.(v) <- t.clock;
+      Cache.Miss { dirty_eviction }
+    end
+
+  let probe t addr =
+    let line_addr = addr lsr t.line_shift in
+    let set = line_addr land t.set_mask in
+    find_way t (set * t.cfg.Cache.ways) line_addr >= 0
+
+  let invalidate_all t = Array.fill t.meta 0 (Array.length t.meta) 0
+end
+
+type cache_op = Access of int * bool | Probe of int | Invalidate
+
+let print_cache_op = function
+  | Access (a, w) -> Printf.sprintf "%s 0x%x" (if w then "st" else "ld") a
+  | Probe a -> Printf.sprintf "probe 0x%x" a
+  | Invalidate -> "invalidate"
+
+let print_geometry (c : Cache.config) =
+  Printf.sprintf "%d B / %d ways / %d B lines" c.Cache.size_bytes c.Cache.ways
+    c.Cache.line_bytes
+
+let dc = Hierarchy.default_config
+
+let gen_geometry =
+  let open QCheck2.Gen in
+  let sized ~kb (c : Cache.config) =
+    Cache.config ~size_bytes:(kb * 1024) ~ways:c.Cache.ways
+      ~line_bytes:c.Cache.line_bytes ~hit_latency:c.Cache.hit_latency
+  in
+  let geom ~sets ~ways ~line =
+    Cache.config ~size_bytes:(sets * ways * line) ~ways ~line_bytes:line ~hit_latency:1
+  in
+  frequency
+    [
+      (2, return dc.Hierarchy.l1);
+      (2, return dc.Hierarchy.l2);
+      (2, map (fun kb -> sized ~kb dc.Hierarchy.l1) (oneofl [ 16; 32 ]));
+      (2, map (fun kb -> sized ~kb dc.Hierarchy.l2) (oneofl [ 1024; 4096 ]));
+      (* fewer sets than one chunk, down to a single set *)
+      ( 2,
+        let* sets = oneofl [ 1; 2; 8; 32 ] in
+        let+ ways = oneofl [ 1; 2; 4 ] in
+        geom ~sets ~ways ~line:64 );
+      (* chunks wider than the shared empty chunk *)
+      (1, return (geom ~sets:512 ~ways:32 ~line:64));
+      ( 3,
+        let* sets = map (fun k -> 1 lsl k) (int_range 0 12) in
+        let* ways = oneofl [ 1; 2; 3; 4; 8; 16 ] in
+        let+ line = oneofl [ 16; 32; 64; 128 ] in
+        geom ~sets ~ways ~line );
+    ]
+
+let gen_cache_ops (g : Cache.config) =
+  let open QCheck2.Gen in
+  let line = g.Cache.line_bytes in
+  let set_span = g.Cache.size_bytes / g.Cache.ways in
+  let* bases = list_repeat 4 (int_range 0 (1 lsl 24)) in
+  let bases = Array.of_list bases in
+  let addr =
+    frequency
+      [
+        (* same-set conflicts: more distinct tags than ways *)
+        ( 4,
+          let* b = int_range 0 3 in
+          let* k = int_range 0 (g.Cache.ways + 1) in
+          let+ o = int_range 0 (2 * line) in
+          bases.(b) + (k * set_span) + o );
+        (* a sequential walk from a base *)
+        ( 3,
+          let* b = int_range 0 3 in
+          let+ i = int_range 0 64 in
+          bases.(b) + (i * (line / 2)) );
+        (2, int_range 0 (1 lsl 28));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (12, map2 (fun a w -> Access (a, w)) addr bool);
+        (3, map (fun a -> Probe a) addr);
+        (1, return Invalidate);
+      ]
+  in
+  list_size (int_range 1 400) op
+
+let cache_counters_agree c r =
+  Cache.hits c = r.Flat_cache.hits
+  && Cache.misses c = r.Flat_cache.misses
+  && Cache.writebacks c = r.Flat_cache.writebacks
+
+let cache_matches_flat_model =
+  QCheck2.Test.make ~name:"chunked cache matches the flat reference" ~count:300
+    ~print:(fun (g, ops) ->
+      print_geometry g ^ ": " ^ String.concat "; " (List.map print_cache_op ops))
+    QCheck2.Gen.(gen_geometry >>= fun g -> map (fun ops -> (g, ops)) (gen_cache_ops g))
+    (fun (g, ops) ->
+      let c = Cache.create g and r = Flat_cache.create g in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Access (a, write) -> Cache.access c a ~write = Flat_cache.access r a ~write
+            | Probe a -> Cache.probe c a = Flat_cache.probe r a
+            | Invalidate ->
+              Cache.invalidate_all c;
+              Flat_cache.invalidate_all r;
+              true
+          in
+          same && cache_counters_agree c r)
+        ops)
+
+(* The shared-L2 hierarchy against the same reference: per-core flat L1s
+   over one flat L2, with {!Hierarchy}'s latency rule restated. Cores take
+   turns on the stream, so one core's fills and dirty evictions reach the
+   others through the shared L2. *)
+let flat_latency (cfg : Hierarchy.config) ~sharers l1 l2 addr ~write =
+  let l2_lat =
+    cfg.Hierarchy.l2.Cache.hit_latency + (cfg.Hierarchy.l2_shared_penalty * (sharers - 1))
+  in
+  let l1_lat = cfg.Hierarchy.l1.Cache.hit_latency in
+  match Flat_cache.access l1 addr ~write with
+  | Cache.Hit -> l1_lat
+  | Cache.Miss { dirty_eviction = l1_dirty } ->
+    let below =
+      match Flat_cache.access l2 addr ~write:false with
+      | Cache.Hit -> l2_lat
+      | Cache.Miss { dirty_eviction = l2_dirty } ->
+        l2_lat + cfg.Hierarchy.dram_latency
+        + if l2_dirty then cfg.Hierarchy.dram_latency / 2 else 0
+    in
+    l1_lat + below + if l1_dirty then l2_lat / 2 else 0
+
+let shared_l2_matches_flat_model =
+  let gen =
+    let open QCheck2.Gen in
+    let* l1_kb = oneofl [ 16; 32; 64 ] in
+    let* l2_kb = oneofl [ 1024; 4096; 8192 ] in
+    let cfg = Hierarchy.sized ~l1_kb ~l2_kb in
+    let* cores = int_range 1 4 in
+    let* level = oneofl [ cfg.Hierarchy.l1; cfg.Hierarchy.l2 ] in
+    let+ ops = gen_cache_ops level in
+    (l1_kb, l2_kb, cores, ops)
+  in
+  QCheck2.Test.make ~name:"shared-L2 hierarchy matches the flat reference"
+    ~count:100
+    ~print:(fun (l1_kb, l2_kb, cores, ops) ->
+      Printf.sprintf "L1 %d KB, L2 %d KB, %d cores: %s" l1_kb l2_kb cores
+        (String.concat "; " (List.map print_cache_op ops)))
+    gen
+    (fun (l1_kb, l2_kb, cores, ops) ->
+      let cfg = Hierarchy.sized ~l1_kb ~l2_kb in
+      let hs = Hierarchy.create_shared cfg ~cores in
+      let l1s = Array.init cores (fun _ -> Flat_cache.create cfg.Hierarchy.l1) in
+      let l2 = Flat_cache.create cfg.Hierarchy.l2 in
+      let core = ref 0 in
+      List.for_all
+        (fun op ->
+          let i = !core in
+          core := (i + 1) mod cores;
+          let same =
+            match op with
+            | Access (a, write) ->
+              let got =
+                if write then Hierarchy.store_latency hs.(i) a
+                else Hierarchy.load_latency hs.(i) a
+              in
+              got = flat_latency cfg ~sharers:cores l1s.(i) l2 a ~write
+            | Probe a -> Cache.probe (Hierarchy.l2 hs.(i)) a = Flat_cache.probe l2 a
+            | Invalidate ->
+              Hierarchy.invalidate_all hs.(i);
+              Flat_cache.invalidate_all l1s.(i);
+              Flat_cache.invalidate_all l2;
+              true
+          in
+          same
+          && cache_counters_agree (Hierarchy.l1 hs.(i)) l1s.(i)
+          && cache_counters_agree (Hierarchy.l2 hs.(i)) l2)
+        ops)
+
 (* -------------------- hierarchy -------------------- *)
 
 let hierarchy_latency_bounds () =
@@ -353,6 +614,8 @@ let suites =
         Alcotest.test_case "probe side-effect-free" `Quick cache_probe_no_side_effect;
         Alcotest.test_case "invalidate" `Quick cache_invalidate;
         Alcotest.test_case "config validation" `Quick cache_config_validation;
+        QCheck_alcotest.to_alcotest cache_matches_flat_model;
+        QCheck_alcotest.to_alcotest shared_l2_matches_flat_model;
       ] );
     ( "hierarchy",
       [
