@@ -82,38 +82,41 @@ let grow t =
       end)
     keys
 
+(* Whether the cycle in slot [i] has no spare capacity. *)
+let[@inline] full t i = t.keys.(i) <> 0 && t.cnt.(i) >= t.capacity
+
 (* The first cycle >= [c] with spare capacity, along the skip chain. *)
 let rec walk t c =
   let i = probe t c in
-  if t.keys.(i) <> 0 && t.cnt.(i) >= t.capacity then walk t t.nxt.(i) else c
+  if full t i then walk t t.nxt.(i) else c
 
-(* First cycle >= [start] with spare capacity. Walks the skip chain of full
-   cycles (iteratively, then compresses the whole chain to the answer so
-   the next claim lands in O(1)). *)
-let find_free t start =
-  let free = walk t start in
+(* First cycle with spare capacity after the full cycle in slot [i]. Walks
+   the skip chain of full cycles (iteratively, then compresses the whole
+   chain to the answer so the next claim lands in O(1)). *)
+let find_free t i =
+  let next = t.nxt.(i) in
+  let free = walk t next in
   (* Path compression: repoint every full cycle on the chain at the answer. *)
-  let c = ref start in
+  t.nxt.(i) <- free;
+  let c = ref next in
   while
-    let i = probe t !c in
-    if t.keys.(i) <> 0 && t.cnt.(i) >= t.capacity then begin
-      let n = t.nxt.(i) in
-      t.nxt.(i) <- free;
+    !c <> free
+    &&
+    let j = probe t !c in
+    full t j
+    && begin
+      let n = t.nxt.(j) in
+      t.nxt.(j) <- free;
       c := n;
-      !c <> free
+      true
     end
-    else false
   do
     ()
   done;
   free
 
-(* Book the first cycle >= [start] with spare capacity and return it. The
-   sub-slot lands in [last_slot] instead of a returned pair, keeping the
-   engine's per-access path tuple-free. *)
-let claim_cycle t start =
-  let cycle = find_free t (max 0 start) in
-  let i = probe t cycle in
+(* Book [cycle], whose slot is [i], and return it. *)
+let book t cycle i =
   let used =
     if t.keys.(i) = 0 then begin
       t.keys.(i) <- cycle + 1;
@@ -132,6 +135,20 @@ let claim_cycle t start =
      writes: growing rehashes and would invalidate [i]). *)
   if t.occupied * 8 > (t.mask + 1) * 5 then grow t;
   cycle
+
+(* Book the first cycle >= [start] with spare capacity and return it. The
+   sub-slot lands in [last_slot] instead of a returned pair, keeping the
+   engine's per-access path tuple-free. The common case, a start cycle with
+   spare capacity, costs one probe; only a full start cycle walks (and
+   compresses) the skip chain. *)
+let claim_cycle t start =
+  let start = max 0 start in
+  let i = probe t start in
+  if full t i then begin
+    let cycle = find_free t i in
+    book t cycle (probe t cycle)
+  end
+  else book t start i
 
 let claim_issue t ready =
   Float.max ready (float_of_int (claim_cycle t (int_of_float (Float.ceil ready))))

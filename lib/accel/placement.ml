@@ -11,38 +11,44 @@ let coord_of t i =
   | Pe c -> c
   | Ls e -> Interconnect.ls_coord t.grid e
 
+(* Occupancy is tracked in one byte per PE and per LS entry; checks run in
+   node order, so the first error found is the same as before. *)
 let validate (dfg : Dfg.t) t =
   let n = Dfg.node_count dfg in
   if Array.length t.assign <> n then Error "placement size mismatch"
   else begin
-    let seen = Hashtbl.create 64 in
+    let grid = t.grid in
+    let pe_used = Bytes.make (grid.Grid.rows * grid.Grid.cols) '\000' in
+    let ls_used = Bytes.make (max 0 grid.Grid.ls_entries) '\000' in
     let rec go i =
       if i = n then Ok ()
       else
         let cls = Isa.op_class dfg.Dfg.nodes.(i).Dfg.instr in
         match t.assign.(i) with
         | Pe c ->
-          if not (Grid.in_bounds t.grid c) then
+          if not (Grid.in_bounds grid c) then
             Error (Printf.sprintf "node %d placed out of bounds (%d,%d)" i c.row c.col)
           else if Isa.is_memory dfg.Dfg.nodes.(i).Dfg.instr then
             Error (Printf.sprintf "memory node %d placed on a PE" i)
-          else if not (Grid.supports t.grid c cls) then
+          else if not (Grid.supports grid c cls) then
             Error (Printf.sprintf "node %d op unsupported at (%d,%d)" i c.row c.col)
-          else if Hashtbl.mem seen (`Pe (c.row, c.col)) then
-            Error (Printf.sprintf "PE (%d,%d) assigned twice" c.row c.col)
-          else begin
-            Hashtbl.add seen (`Pe (c.row, c.col)) ();
-            go (i + 1)
-          end
+          else
+            let slot = (c.row * grid.Grid.cols) + c.col in
+            if Bytes.get pe_used slot <> '\000' then
+              Error (Printf.sprintf "PE (%d,%d) assigned twice" c.row c.col)
+            else begin
+              Bytes.set pe_used slot '\001';
+              go (i + 1)
+            end
         | Ls e ->
           if not (Isa.is_memory dfg.Dfg.nodes.(i).Dfg.instr) then
             Error (Printf.sprintf "non-memory node %d placed on LS entry" i)
-          else if e < 0 || e >= t.grid.Grid.ls_entries then
+          else if e < 0 || e >= grid.Grid.ls_entries then
             Error (Printf.sprintf "LS entry %d out of range for node %d" e i)
-          else if Hashtbl.mem seen (`Ls e) then
+          else if Bytes.get ls_used e <> '\000' then
             Error (Printf.sprintf "LS entry %d assigned twice" e)
           else begin
-            Hashtbl.add seen (`Ls e) ();
+            Bytes.set ls_used e '\001';
             go (i + 1)
           end
     in

@@ -223,11 +223,13 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4)
       assign'.(j2) <- assign.(j);
       Placement.make grid kind assign'
     in
+    (* [build] runs only for a description not seen before this round. *)
     let seen = Hashtbl.create 64 in
     let cands = ref [] in
-    let add descr pl =
+    let add descr build =
       if not (Hashtbl.mem seen descr) then begin
         Hashtbl.replace seen descr ();
+        let pl = build () in
         match Placement.validate dfg pl with
         | Ok () -> cands := (descr, pl) :: !cands
         | Error _ -> ()
@@ -241,10 +243,10 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4)
             for e' = 0 to grid.Grid.ls_entries - 1 do
               if e' <> e then
                 if ls_owner.(e') < 0 then
-                  add (`Move_ls (j, e')) (cand_with j (Placement.Ls e'))
+                  add (`Move_ls (j, e')) (fun () -> cand_with j (Placement.Ls e'))
                 else
                   let j2 = ls_owner.(e') in
-                  add (`Swap (min j j2, max j j2)) (swap_with j j2)
+                  add (`Swap (min j j2, max j j2)) (fun () -> swap_with j j2)
             done
           | Placement.Pe c ->
             Grid.iter_coords grid (fun c' ->
@@ -253,12 +255,12 @@ let refine ?(seed = 0) ?(max_rounds = 8) ?(beam = 4)
                   | None ->
                     if Grid.supports grid c' (cls_of j) then
                       add (`Move_pe (j, c'.Grid.row, c'.Grid.col))
-                        (cand_with j (Placement.Pe c'))
+                        (fun () -> cand_with j (Placement.Pe c'))
                   | Some j2 ->
                     if
                       Grid.supports grid c' (cls_of j)
                       && Grid.supports grid c (cls_of j2)
-                    then add (`Swap (min j j2, max j j2)) (swap_with j j2)))
+                    then add (`Swap (min j j2, max j j2)) (fun () -> swap_with j j2)))
       est.Cost_model.critical;
     (* Model-rank every candidate; only predicted improvements survive. *)
     let scored =

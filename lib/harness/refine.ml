@@ -64,10 +64,13 @@ let run_core ?(seed = 0) ?max_rounds ?beam ~kind ~grid ?baseline ?measured
       let mem_latency =
         Option.map Cost_model.mem_oracle_of_measured measured
       in
-      let predict pl =
-        Cost_model.estimate ?op_latency ?mem_latency ~config:(config_of pl)
+      (* One pricer per pass: the placement-independent tables are built
+         once, and candidates that share an edge table are priced once. *)
+      let pricer =
+        Cost_model.pricer ?op_latency ?mem_latency ~config:(config_of baseline)
           ~dfg ~iterations:horizon ()
       in
+      let predict = Cost_model.price pricer in
       let confirm pl =
         match execute_once ~k ~dfg (config_of pl) with
         | Ok res -> Some res.Engine.cycles

@@ -65,7 +65,9 @@ val optimized_config :
 (** [placement] with the kernel's optimization flags: the {!Mem_opt}
     forwarding pairs, vector groups and prefetches, the {!Loop_opt} tiling
     factor for [grid], and pipelining on — the configuration refinement,
-    the DSE and the optimized fig12 column execute and model. *)
+    the DSE and the optimized fig12 column execute and model. The flags
+    do not depend on the placement: [optimized_config ~k ~dfg ~grid]
+    analyzes once and returns a function that only attaches them. *)
 
 val swap_placement :
   ?kind:Interconnect.kind -> grid:Grid.t -> Kernel.t -> Placement.t -> unit
