@@ -24,23 +24,18 @@ let grid_of = function
   | 512 -> Grid.m512
   | n -> Grid.of_pe_count n
 
-(* Engine selection rides on MESA_ENGINE (read per execution by
-   {!Engine.execute}), so one flag covers every run the subcommand makes —
-   including those behind the controller and the fuzzer. *)
+(* Engine selection: a controller option, so one flag covers every run the
+   subcommand makes — including those behind the fuzzer. *)
 let engine_arg =
   let doc =
     "Accelerator engine: $(b,event) (wake-list scheduler, the default) or \
      $(b,reference) (the legacy per-node scan, kept as a bit-identical \
-     oracle). Equivalent to setting MESA_ENGINE."
+     oracle)."
   in
   Arg.(
     value
-    & opt (some (enum [ ("event", "event"); ("reference", "reference") ])) None
+    & opt (enum [ ("event", `Event); ("reference", `Reference) ]) `Event
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let set_engine = function
-  | None -> ()
-  | Some e -> Unix.putenv "MESA_ENGINE" e
 
 let find_kernel name =
   match Workloads.find name with
@@ -226,7 +221,6 @@ let run_cmd =
         (Result.map Option.some (Fault.spec_of_string ~seed:fault_seed s))
   in
   let run name pes no_opt no_iter inject fault_seed stats_json trace_out engine =
-    set_engine engine;
     Result.bind (find_kernel name) (fun (k : Kernel.t) ->
         Result.bind (parse_inject fault_seed inject) (fun inject ->
         let grid = grid_of pes in
@@ -234,7 +228,7 @@ let run_cmd =
         let multi = Runner.multicore k in
         let mesa, report =
           Runner.mesa ~grid ~optimize:(not no_opt) ~iterative:(not no_iter)
-            ?inject k
+            ?inject ~engine k
         in
         let t =
           Tables.create
@@ -1020,7 +1014,6 @@ let fuzz_cmd =
           ~doc:"Re-run one corpus entry instead of a campaign.")
   in
   let run seed count jobs corpus max_shrink defect replay engine =
-    set_engine engine;
     let ( let* ) = Result.bind in
     let* defect =
       match defect with
@@ -1058,7 +1051,7 @@ let fuzz_cmd =
           Error (`Msg (path ^ ": not a corpus entry: no \"shrunk\" or \"spec\" field"))
         | _ -> Ok ()
       in
-      (match Fuzz.replay ?defect j with
+      (match Fuzz.replay ?defect ~engine j with
       | Ok o ->
         Printf.printf "replay ok: %d cycles, %d offload(s), checksum %d\n"
           o.Fuzz.cycles o.Fuzz.offloads o.Fuzz.mem_checksum;
@@ -1067,7 +1060,7 @@ let fuzz_cmd =
         Printf.printf "replay still fails: %s\n" e;
         exit 1)
     | None ->
-      let s = Fuzz.run ?jobs ?defect ~max_shrink ~seed ~count () in
+      let s = Fuzz.run ?jobs ?defect ~engine ~max_shrink ~seed ~count () in
       Printf.printf
         "fuzz: seed %d, %d case(s), %d offloaded, %d offload(s) total, digest %016x\n"
         seed s.Fuzz.cases s.Fuzz.offloaded_cases s.Fuzz.total_offloads

@@ -21,7 +21,8 @@
      compares two boundaries' pending multisets count first: equal
      multisets have equal sizes, so the sorted multisets are built only
      when the live-booking counts match;
-   - contention tables are borrowed from the engines' scratch and reset.
+   - contention tables are borrowed from the engines' scratch, and each
+     round retires the cycles behind the frontier as the engine does.
    On kmeans at M-64 over the 128-iteration refine horizon a simulated
    estimate costs 0.15-0.22 ms (the placement refine adopts, whose
    backlog drifts, included) against 16-23 ms for one engine confirmation
@@ -65,14 +66,11 @@ let deps_of (dfg : Dfg.t) =
     dfg.Dfg.nodes
 
 (* Borrow a contention table from the engines' domain-local scratch,
-   reset to [capacity] (or build one when none is parked). An estimate
-   over the 128-iteration horizons refine and the DSE use books at most a
-   few thousand cycles, so a table an engine execution grew past that is
-   shrunk rather than cleared at full size. *)
+   reset to [capacity] (or build one when none is parked). *)
 let borrow ~capacity =
   match Engine_core.scratch_take () with
   | Some c ->
-    Contention.reset ~capacity ~max_size:4096 c;
+    Contention.reset ~capacity c;
     c
   | None -> Contention.create ~capacity
 
@@ -80,8 +78,8 @@ let borrow ~capacity =
    strict order decides without them. *)
 let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
 
-(* {!Contention.claim}, inlined around the integer claim so the hot loop
-   boxes no float. *)
+(* A float-timed claim, inlined around the integer {!Contention.claim_cycle}
+   so the hot loop boxes no float. *)
 let[@inline] claim c ready =
   fmax ready
     (float_of_int (Contention.claim_cycle c (int_of_float (Float.ceil ready))))
@@ -396,14 +394,21 @@ let simulate p ws ~noc_edges =
   Array.fill ran 0 tiling 0;
   let ports = borrow ~capacity:p.ports_cap in
   let borrowed = ref [ ports ] in
-  let noc_slot idx =
-    match noc.(idx) with
-    | Some c -> c
-    | None ->
-      let c = borrow ~capacity:1 in
-      borrowed := c :: !borrowed;
-      noc.(idx) <- Some c;
-      c
+  (* Instance [inst]'s slice table, retired to the instance's current
+     initiation as in the engine. *)
+  let noc_slot inst slice =
+    let idx = (inst * nslices) + slice in
+    let c =
+      match noc.(idx) with
+      | Some c -> c
+      | None ->
+        let c = borrow ~capacity:1 in
+        borrowed := c :: !borrowed;
+        noc.(idx) <- Some c;
+        c
+    in
+    Contention.retire c (int_of_float inst_next.(inst));
+    c
   in
   (* Fixed-point detection. The system state at a round boundary is exactly
      (a) each instance's relative completion vector and II, and (b) the
@@ -551,6 +556,8 @@ let simulate p ws ~noc_edges =
     if not !steady then begin
       let iter_start = inst_next.(inst) in
       let noc_base = inst * nslices in
+      (* No later claim probes behind the frontier (see above). *)
+      if inst = 0 then Contention.retire ports (Engine_core.earliest inst_next tiling);
       for j = 0 to n - 1 do
         let arrival = ref 0.0 in
         crit_dep.(j) <- -1;
@@ -561,7 +568,7 @@ let simulate p ws ~noc_edges =
             if slice < 0 then edge_base.(e)
             else begin
               let abs_out = iter_start +. completes.(i) in
-              let inject = claim (noc_slot (noc_base + slice)) abs_out in
+              let inject = claim (noc_slot inst slice) abs_out in
               book (1 + noc_base + slice) (int_of_float inject);
               edge_base.(e) +. (inject -. abs_out)
             end

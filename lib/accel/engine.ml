@@ -15,7 +15,8 @@
    - time advances in batched jumps: per-instance initiation clocks
      ([inst_next]) jump by a whole II per iteration, and the contention
      tables skip runs of full cycles via union-find pointers
-     ({!Contention.claim_issue}) rather than stepping cycle by cycle;
+     ({!Contention.claim_cycle}) rather than stepping cycle by cycle, and
+     recycle the cycles no later claim can reach ({!Engine_core.earliest});
    - steady-state arrival folds are memoized: a node whose guard status is
      unchanged and whose producers' completion times did not move this
      iteration replays its cached arrival instead of re-folding (memory and
@@ -62,8 +63,8 @@ let[@inline] word_hash w mask = (w * 0x2545F4914F6CDD1D) land max_int land mask
 let[@inline] fmax x y =
   if y > x then y else if x > y || (x = y && x <> 0.0) then x else Float.max x y
 
-(* {!Contention.claim}, inlined around the integer claim so the node loop
-   boxes no float. *)
+(* A float-timed claim, inlined around the integer {!Contention.claim_cycle}
+   so the node loop boxes no float. *)
 let[@inline] claim c ready =
   fmax ready (float_of_int (Contention.claim_cycle c (int_of_float (Float.ceil ready))))
 
@@ -98,7 +99,6 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
     let grid = pl.Placement.grid in
     let nodes = dfg.Dfg.nodes in
     let mem = machine.Machine.mem in
-    let debug = Sys.getenv_opt "MESA_ENGINE_DEBUG" <> None in
     (* ------------------------------------------------------------------
        Compilation: static per-node tables, built once per execution. *)
     let cls_of = Array.map (fun nd -> Isa.op_class nd.Dfg.instr) nodes in
@@ -229,16 +229,22 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
     let tiling = max 1 config.tiling in
     let nslices = Interconnect.slices grid in
     let noc : Contention.t option array = Array.make (tiling * nslices) None in
+    let inst_next = Array.make tiling 0.0 in
+    (* An instance's slice table, retired to the instance's current
+       initiation: none of its claims starts before it. *)
     let noc_slot inst slice =
       let idx = (inst * nslices) + slice in
-      match noc.(idx) with
-      | Some c -> c
-      | None ->
-        let c = acquire ~capacity:1 in
-        noc.(idx) <- Some c;
-        c
+      let c =
+        match noc.(idx) with
+        | Some c -> c
+        | None ->
+          let c = acquire ~capacity:1 in
+          noc.(idx) <- Some c;
+          c
+      in
+      Contention.retire c (int_of_float inst_next.(inst));
+      c
     in
-    let inst_next = Array.make tiling 0.0 in
     (* Word-indexed store-to-load disambiguation table (replaces the
        reference engine's per-iteration association list). Generation
        stamps make clearing an O(1) counter bump; slots only fill within a
@@ -433,6 +439,7 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
       while not !exit_reached do
         let inst = !iterations mod tiling in
         let iter_start = inst_next.(inst) in
+        if inst = 0 then Contention.retire ports (Engine_core.earliest inst_next tiling);
         cur_inst := inst;
         cur.start <- iter_start;
         incr cur_gen;
@@ -692,9 +699,6 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
           done;
           !l
         in
-        if debug && !iterations < 40 then
-          Printf.eprintf "iter=%d inst=%d start=%.1f lat=%.1f fu=%.1f\n" !iterations
-            inst cur.start iter_latency cur.fu_bound;
         incr iterations;
         act.Activity.iterations <- act.Activity.iterations + 1;
         end_time := fmax !end_time (iter_start +. iter_latency);
@@ -811,19 +815,10 @@ let execute_event ?(max_iterations = 4_000_000) ?stop_after ?fault
       ~finally:(fun () -> Engine_core.scratch_park !acquired)
       (fun () -> try Ok (run ()) with Exec_fail msg -> Error msg))
 
-(* Engine selection: the event-driven core unless the caller (or the
-   MESA_ENGINE environment variable, checked per call so CLI flags can set
-   it) asks for the legacy reference oracle. *)
-let engine_of_env () =
-  match Sys.getenv_opt "MESA_ENGINE" with
-  | Some "reference" -> `Reference
-  | Some _ | None -> `Event
-
+(* Engine selection: the event-driven core unless the caller asks for the
+   legacy reference oracle. *)
 let execute ?max_iterations ?stop_after ?fault ?watchdog_window ?attribution
-    ?engine ~config ~dfg ~machine ~hier () =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_env ()
-  in
+    ?(engine = `Event) ~config ~dfg ~machine ~hier () =
   let r =
     match engine with
     | `Event ->

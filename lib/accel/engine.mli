@@ -78,9 +78,7 @@ val execute :
     arrival folds, batched time jumps; [`Reference] is the legacy
     node-scan oracle ({!Engine_reference}), kept for differential testing.
     Both are bit-identical in every observable (cycles, memory, registers,
-    stats snapshots, attribution sums); the default can be overridden
-    per-process with the [MESA_ENGINE] environment variable
-    ([reference] / [event]), read at each call. Every successful execution
+    stats snapshots, attribution sums). Every successful execution
     also adds its window's cycle count to {!Sim_meter}. On success the machine holds the post-loop architectural state
     (registers, PC at the loop's exit address) and [machine.mem] holds every
     store's effect. Fails (leaving partial memory effects) if the placement

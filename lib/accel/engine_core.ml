@@ -1,8 +1,10 @@
 (* State shared by the two engine implementations: the event-driven core
    (`Engine`) and the legacy all-nodes-every-cycle oracle
-   (`Engine_reference`). Both return the same result record and park their
-   contention tables in the same domain-local scratch pool, so differential
-   tests can swap implementations without touching any caller. *)
+   (`Engine_reference`). Both return the same result record, so
+   differential tests can swap implementations without touching any
+   caller. The event engine and the cost model park their contention
+   tables in the domain-local scratch pool below; the reference keeps its
+   own slot maps. *)
 
 type detection = {
   d_kinds : Fault.kind list;
@@ -28,8 +30,9 @@ exception Exec_fail of string
 
 (* Recycled contention tables. An execution claims one table per cache-port
    group and one per active (instance, NoC slice) pair; building each from
-   scratch costs a fresh slot table, so finished executions park their
-   tables here and the next execution revives them with [Contention.reset].
+   scratch costs a fresh ring, so finished executions park their tables
+   here and the next execution revives them with [Contention.reset], in
+   O(1) and at the ring size they grew to.
 
    The pool is domain-local, so parallel harness jobs (one domain each)
    never contend across domains — but `mesad` serves its shards on
@@ -49,3 +52,13 @@ let scratch_take () =
 let scratch_park cs =
   let lock, stack = Domain.DLS.get contention_scratch in
   Mutex.protect lock (fun () -> List.iter (fun c -> Stack.push c stack) cs)
+
+(* Truncated, so the floor is at or below every clock and no float crosses
+   a call. *)
+let earliest (inst_next : float array) tiling =
+  let floor = ref (int_of_float inst_next.(0)) in
+  for t = 1 to tiling - 1 do
+    let c = int_of_float inst_next.(t) in
+    if c < !floor then floor := c
+  done;
+  !floor

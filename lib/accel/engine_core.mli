@@ -1,5 +1,6 @@
-(** Types and scratch state shared by the event-driven engine ({!Engine})
-    and the legacy reference oracle ({!Engine_reference}). See {!Engine} for
+(** Types shared by the event-driven engine ({!Engine}) and the legacy
+    reference oracle ({!Engine_reference}), and the contention scratch the
+    event engine and {!Cost_model} share. See {!Engine} for
     the full field documentation — callers use that module; this one exists
     so both implementations return literally the same record types. *)
 
@@ -32,3 +33,12 @@ val scratch_take : unit -> Contention.t option
 
 val scratch_park : Contention.t list -> unit
 (** Return a finished execution's tables to the domain-local pool. *)
+
+val earliest : float array -> int -> int
+(** [earliest inst_next tiling]: the cycle floor no later claim of a tiled
+    execution starts below, when instance [t] initiates next at
+    [inst_next.(t)] — every claim starts at or after its own instance's
+    initiation, and the clocks only move forward. The engine and the cost
+    model retire their shared port table to it at each round boundary;
+    each instance's NoC slices, which only that instance claims, retire to
+    its own clock as it claims them. *)

@@ -7,6 +7,42 @@
 
 open Engine_core
 
+(* The reference's own slot map for cache ports and NoC slices, sharing no
+   code with {!Contention}: one occupancy count per cycle from 0, and a
+   claim that scans forward a cycle at a time to the first with spare
+   capacity. A saturated resource re-walks its run of full cycles on every
+   claim, which is slow and obviously right — the oracle the event engine's
+   contention tables are checked against. *)
+type slots = {
+  capacity : int;  (* operations that may start per cycle *)
+  mutable count : int array;  (* operations started, per cycle *)
+  mutable claims : int;
+  mutable busy : int;  (* cycles with at least one operation *)
+}
+
+let slots ~capacity = { capacity; count = Array.make 64 0; claims = 0; busy = 0 }
+
+(* Book the first cycle at or after [ready] with spare capacity: the issue
+   time, and the sub-slot the claim took within its cycle. *)
+let claim_slot s ready =
+  let spare c =
+    if c >= Array.length s.count then begin
+      let count = Array.make (2 * (c + 1)) 0 in
+      Array.blit s.count 0 count 0 (Array.length s.count);
+      s.count <- count
+    end;
+    s.count.(c) < s.capacity
+  in
+  let c = ref (Int.max 0 (int_of_float (Float.ceil ready))) in
+  while not (spare !c) do
+    incr c
+  done;
+  let used = s.count.(!c) in
+  s.count.(!c) <- used + 1;
+  if used = 0 then s.busy <- s.busy + 1;
+  s.claims <- s.claims + 1;
+  (Float.max ready (float_of_int !c), used)
+
 let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window = 512)
     ?attribution ~(config : Accel_config.t) ~(dfg : Dfg.t)
     ~(machine : Machine.t) ~(hier : Hierarchy.t) () =
@@ -18,7 +54,6 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
     let grid = pl.Placement.grid in
     let nodes = dfg.Dfg.nodes in
     let mem = machine.Machine.mem in
-    let debug = Sys.getenv_opt "MESA_ENGINE_DEBUG" <> None in
     (* Static per-node tables, hoisted out of the iteration loop: operation
        class and fabric latency, guard predicates, and the arrival
        dependencies (operand sources, hidden value, guards, memory-order
@@ -101,31 +136,19 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
     in
     (* Timing state. *)
     let completes = Array.make n 0.0 in
-    let acquired = ref [] in
-    let acquire ~capacity =
-      let c =
-        match Engine_core.scratch_take () with
-        | Some c ->
-          Contention.reset ~capacity c;
-          c
-        | None -> Contention.create ~capacity
-      in
-      acquired := c :: !acquired;
-      c
-    in
-    let ports = acquire ~capacity:effective_ports in
+    let ports = slots ~capacity:effective_ports in
     let tiling = max 1 config.tiling in
     (* Tiled instances occupy disjoint physical regions, so each gets its
        own router slices; slot [inst * nslices + slice] serves (instance,
        slice). Slices are claimed lazily — most stay unused. *)
     let nslices = Interconnect.slices grid in
-    let noc : Contention.t option array = Array.make (tiling * nslices) None in
+    let noc : slots option array = Array.make (tiling * nslices) None in
     let noc_slot inst slice =
       let idx = (inst * nslices) + slice in
       match noc.(idx) with
       | Some c -> c
       | None ->
-        let c = acquire ~capacity:1 in
+        let c = slots ~capacity:1 in
         noc.(idx) <- Some c;
         c
     in
@@ -192,7 +215,7 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
       | Interconnect.Noc ->
         let slice = Interconnect.noc_slice grid (Placement.coord_of pl i) in
         let abs_out = iter_start +. completes.(i) in
-        let inject = Contention.claim (noc_slot inst slice) abs_out in
+        let inject, _ = claim_slot (noc_slot inst slice) abs_out in
         act.Activity.noc_transfers <- act.Activity.noc_transfers + 1;
         Stats.observe noc_queue (inject -. abs_out);
         last_noc_queue := inject -. abs_out;
@@ -205,7 +228,7 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
        — the profiler's deterministic port-lane index. *)
     let last_port_slot = ref 0 in
     let claim_port abs_ready =
-      let issue, slot = Contention.claim_slot ports abs_ready in
+      let issue, slot = claim_slot ports abs_ready in
       let delay = issue -. abs_ready in
       last_port_slot := slot;
       Stats.observe port_queue delay;
@@ -455,9 +478,6 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
           | _ -> ())
         done;
         let iter_latency = Array.fold_left Float.max 0.0 completes in
-        if debug && !iterations < 40 then
-          Printf.eprintf "iter=%d inst=%d start=%.1f lat=%.1f fu=%.1f\n" !iterations
-            inst iter_start iter_latency !fu_bound;
         incr iterations;
         act.Activity.iterations <- act.Activity.iterations + 1;
         end_time := Float.max !end_time (iter_start +. iter_latency);
@@ -533,11 +553,10 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
             match c with
             | Some c ->
               Attribution.note_noc_slice a ~slice:(idx mod nslices)
-                ~claims:(Contention.claimed c) ~busy:(Contention.busy_cycles c)
+                ~claims:c.claims ~busy:c.busy
             | None -> ())
           noc;
-        Attribution.note_port_totals a ~claims:(Contention.claimed ports)
-          ~busy:(Contention.busy_cycles ports);
+        Attribution.note_port_totals a ~claims:ports.claims ~busy:ports.busy;
         Attribution.end_window a ~grid ~cycles:act.Activity.cycles
           ~iterations:!iterations
       | None -> ());
@@ -564,6 +583,4 @@ let execute ?(max_iterations = 4_000_000) ?stop_after ?fault ?(watchdog_window =
         measured = Stats.snapshot reg;
       }
     in
-    Fun.protect
-      ~finally:(fun () -> Engine_core.scratch_park !acquired)
-      (fun () -> try Ok (run ()) with Exec_fail msg -> Error msg))
+    try Ok (run ()) with Exec_fail msg -> Error msg)

@@ -3,8 +3,11 @@
     schema are documented on {!Engine.execute}; this implementation is the
     definition the event-driven core must match bit-for-bit (cycles, memory,
     registers, stats snapshots, attribution sums). Reached in production
-    only through [Engine.execute ~engine:`Reference] / [MESA_ENGINE=reference];
-    tests may call it directly. *)
+    only through [Engine.execute ~engine:`Reference] (the controller's
+    [engine] option, [mesa_cli run|fuzz --engine reference]); tests may call
+    it directly. It books cache ports and NoC slices in its own naive slot
+    map rather than {!Contention}, so the differential covers that module
+    too. *)
 
 val execute :
   ?max_iterations:int ->

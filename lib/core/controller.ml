@@ -16,10 +16,11 @@ type options = {
   inject : Fault.spec option;
   profile : bool;
   tune : Accel_config.t -> Accel_config.t;
+  engine : [ `Event | `Reference ];
 }
 
 let default_options ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true)
-    ?inject ?(profile = false) () =
+    ?inject ?(profile = false) ?(engine = `Event) () =
   let capacity = min 512 (Grid.pe_count grid + grid.Grid.ls_entries) in
   {
     grid;
@@ -39,6 +40,7 @@ let default_options ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true)
     inject;
     profile;
     tune = Fun.id;
+    engine;
   }
 
 type region_report = {
@@ -399,7 +401,7 @@ let run ?options ?hier ?stats prog machine =
             (Engine.execute ?stop_after
                ~max_iterations:opts.engine_max_iterations
                ~watchdog_window:opts.watchdog_window ?fault:injector
-               ?attribution:att
+               ?attribution:att ~engine:opts.engine
                ~config:c.Config_manager.config ~dfg:c.Config_manager.dfg
                ~machine ~hier ())
         with exn -> (

@@ -49,13 +49,17 @@ type options = {
   tune : Accel_config.t -> Accel_config.t;
       (** hook applied to every freshly translated configuration — the
           ablation studies use it to strip individual optimizations *)
+  engine : [ `Event | `Reference ];
+      (** the accelerator engine every offload runs on (see
+          {!Engine.execute}): the event-driven core, or the legacy
+          reference oracle, which is bit-identical and slower *)
 }
 
 val default_options :
   ?grid:Grid.t -> ?optimize:bool -> ?iterative:bool -> ?inject:Fault.spec ->
-  ?profile:bool -> unit -> options
+  ?profile:bool -> ?engine:[ `Event | `Reference ] -> unit -> options
 (** M-128, mesh+NoC interconnect, optimizations and iterative mode on;
-    profiling off. *)
+    profiling off; the event-driven engine. *)
 
 (** Per-region outcome, for the evaluation tables. *)
 type region_report = {

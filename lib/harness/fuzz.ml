@@ -80,7 +80,7 @@ let fabric_of_json j =
 
 type observation = { cycles : int; offloads : int; mem_checksum : int }
 
-let run_case ?defect spec (f : fabric) =
+let run_case ?defect ?engine spec (f : fabric) =
   let ( let* ) = Result.bind in
   let* b = Tile_lower.lower ?defect spec in
   let mem = Main_memory.create () in
@@ -95,7 +95,7 @@ let run_case ?defect spec (f : fabric) =
   in
   let grid = Grid.make ~rows:f.rows ~cols:f.cols ~mem_ports:f.ports () in
   let options =
-    { (Controller.default_options ~grid ~profile:f.profile ()) with
+    { (Controller.default_options ~grid ~profile:f.profile ?engine ()) with
       Controller.kind = f.kind }
   in
   let hier = Hierarchy.create (Hierarchy.sized ~l1_kb:f.l1_kb ~l2_kb:f.l2_kb) in
@@ -159,13 +159,13 @@ type failure = {
   shrink_steps : int;
 }
 
-let shrink ?defect ?(max_attempts = 300) spec fabric =
+let shrink ?defect ?engine ?(max_attempts = 300) spec fabric =
   let attempts = ref 0 in
   let fails s =
     if !attempts >= max_attempts then None
     else begin
       incr attempts;
-      match run_case ?defect s fabric with Ok _ -> None | Error d -> Some d
+      match run_case ?defect ?engine s fabric with Ok _ -> None | Error d -> Some d
     end
   in
   match fails spec with
@@ -201,7 +201,7 @@ let fnv acc x =
   let acc = (acc lxor (x land 0xFFFFFFFF)) * fnv_prime in
   ((acc lxor (x lsr 32)) * fnv_prime) land max_int
 
-let run ?jobs ?defect ?(max_shrink = 300) ~seed ~count () =
+let run ?jobs ?defect ?engine ?(max_shrink = 300) ~seed ~count () =
   let master = Prng.create seed in
   let cases =
     List.init count (fun i ->
@@ -214,11 +214,11 @@ let run ?jobs ?defect ?(max_shrink = 300) ~seed ~count () =
       (fun (i, kernel_seed, fabric_seed) ->
         let spec = Tile_gen.generate ~seed:kernel_seed in
         let fabric = draw_fabric (Prng.create fabric_seed) in
-        match run_case ?defect spec fabric with
+        match run_case ?defect ?engine spec fabric with
         | Ok obs -> Ok (i, obs)
         | Error detail ->
           let shrunk, shrunk_detail, shrink_steps =
-            shrink ?defect ~max_attempts:max_shrink spec fabric
+            shrink ?defect ?engine ~max_attempts:max_shrink spec fabric
           in
           Error
             {
@@ -291,7 +291,7 @@ let write_corpus ~dir ~master_seed f =
   close_out oc;
   path
 
-let replay ?defect j =
+let replay ?defect ?engine j =
   let ( let* ) = Result.bind in
   let* spec =
     match Json.member "shrunk" j with
@@ -306,4 +306,4 @@ let replay ?defect j =
     | Some f -> fabric_of_json f
     | None -> Error "corpus entry has no fabric"
   in
-  run_case ?defect spec fabric
+  run_case ?defect ?engine spec fabric

@@ -56,11 +56,13 @@ type observation = {
 
 val run_case :
   ?defect:Tile_lower.defect ->
+  ?engine:[ `Event | `Reference ] ->
   Tile_dsl.spec ->
   fabric ->
   (observation, string) result
 (** One full differential check; [Error detail] describes the first
-    violated oracle. *)
+    violated oracle. [engine] picks the accelerator engine the controller
+    offloads to (default the event-driven core). *)
 
 type failure = {
   index : int;
@@ -75,6 +77,7 @@ type failure = {
 
 val shrink :
   ?defect:Tile_lower.defect ->
+  ?engine:[ `Event | `Reference ] ->
   ?max_attempts:int ->
   Tile_dsl.spec ->
   fabric ->
@@ -95,6 +98,7 @@ type summary = {
 val run :
   ?jobs:int ->
   ?defect:Tile_lower.defect ->
+  ?engine:[ `Event | `Reference ] ->
   ?max_shrink:int ->
   seed:int ->
   count:int ->
@@ -110,5 +114,8 @@ val write_corpus : dir:string -> master_seed:int -> failure -> string
     path. *)
 
 val replay :
-  ?defect:Tile_lower.defect -> Json.t -> (observation, string) result
+  ?defect:Tile_lower.defect ->
+  ?engine:[ `Event | `Reference ] ->
+  Json.t ->
+  (observation, string) result
 (** Re-run a corpus entry (its shrunk spec under its fabric). *)

@@ -52,12 +52,13 @@ let multicore ?(cores = 16) (k : Kernel.t) =
   }
 
 let mesa ?(grid = Grid.m128) ?(optimize = true) ?(iterative = true) ?mem_ports
-    ?inject ?profile (k : Kernel.t) =
+    ?inject ?profile ?engine (k : Kernel.t) =
   let grid =
     match mem_ports with None -> grid | Some p -> { grid with Grid.mem_ports = p }
   in
   let options =
-    Controller.default_options ~grid ~optimize ~iterative ?inject ?profile ()
+    Controller.default_options ~grid ~optimize ~iterative ?inject ?profile
+      ?engine ()
   in
   let mem = Main_memory.create () in
   let machine = Kernel.prepare k mem in

@@ -29,6 +29,7 @@ val mesa :
   ?mem_ports:int ->
   ?inject:Fault.spec ->
   ?profile:bool ->
+  ?engine:[ `Event | `Reference ] ->
   Kernel.t ->
   measurement * Controller.report
 (** Full MESA run (CPU + transparent offload). [mem_ports] overrides the
@@ -36,7 +37,8 @@ val mesa :
     arms a fault schedule for the run (the output check still validates
     bit-exact results after recovery); [profile] arms the cycle-attribution
     collector, returned in [report.attribution] (timing stays
-    bit-identical — see {!Profile.of_report}). *)
+    bit-identical — see {!Profile.of_report}); [engine] picks the
+    accelerator engine (see {!Controller.options}). *)
 
 val dfg_of_kernel : Kernel.t -> Dfg.t
 (** The kernel's hot-loop LDFG, for the analytic baselines (OpenCGRA /

@@ -146,13 +146,41 @@ let trace_stream t oc (tr : Proto.trace_request) =
       { Proto.rsp_id = tr.Proto.t_id; body = Proto.End_stream };
   outcome
 
+let max_line = 1 lsl 20
+
+(* The next request line (newline excluded; a last line may lack one), or
+   [`Too_long] as soon as it passes [max_line] bytes — a client that never
+   sends a newline cannot grow the daemon's heap past the bound. *)
+let read_line ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents buf)
+    | c ->
+      if Buffer.length buf >= max_line then `Too_long
+      else begin
+        Buffer.add_char buf c;
+        go ()
+      end
+    | exception End_of_file ->
+      if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+  in
+  go ()
+
 let handler t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
+  let buf = Buffer.create 256 in
   let rec serve () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line ->
+    match read_line ic buf with
+    | exception Sys_error _ | `Eof -> ()
+    | `Too_long -> (
+      let msg = Printf.sprintf "request line exceeds %d bytes" max_line in
+      try
+        write_response oc
+          { Proto.rsp_id = 0; body = Service.bad_request t.svc msg }
+      with Sys_error _ | Unix.Unix_error _ -> ())
+    | `Line line ->
       if String.trim line = "" then serve ()
       else begin
         locked t (fun () -> t.active <- t.active + 1);

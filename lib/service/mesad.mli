@@ -18,6 +18,11 @@
 
 type t
 
+val max_line : int
+(** The longest request line a connection may send, newline excluded
+    (1 MiB). A longer line is answered with [bad_request] and the
+    connection is closed; the daemon keeps serving other connections. *)
+
 val start : ?service_config:Service.config -> socket:string -> unit -> t
 (** Bind [socket] (an existing {e socket} file at that path is replaced;
     any other file kind is an error), start the accept loop in a

@@ -559,14 +559,14 @@ let hierarchy_sharing_penalty () =
 
 let contention_respects_ready () =
   let c = Contention.create ~capacity:2 in
-  let t = Contention.claim c 10.0 in
-  check Alcotest.bool "not before ready" true (t >= 10.0)
+  let t = Contention.claim_cycle c 10 in
+  check Alcotest.bool "not before ready" true (t >= 10)
 
 let contention_serializes_at_capacity () =
   let c = Contention.create ~capacity:1 in
-  let t1 = Contention.claim c 5.0 in
-  let t2 = Contention.claim c 5.0 in
-  let t3 = Contention.claim c 5.0 in
+  let t1 = Contention.claim_cycle c 5 in
+  let t2 = Contention.claim_cycle c 5 in
+  let t3 = Contention.claim_cycle c 5 in
   check Alcotest.bool "distinct cycles" true (t1 < t2 && t2 < t3);
   check Alcotest.int "claim count" 3 (Contention.claimed c)
 
@@ -574,23 +574,108 @@ let contention_late_claim_no_blocking () =
   (* The bug that motivated this module: a claim far in the future must not
      consume earlier idle slots. *)
   let c = Contention.create ~capacity:1 in
-  let late = Contention.claim c 100.0 in
-  let early = Contention.claim c 0.0 in
-  check Alcotest.bool "late claim unaffected" true (late >= 100.0);
-  check Alcotest.bool "early slot still free" true (early < 2.0)
+  let late = Contention.claim_cycle c 100 in
+  let early = Contention.claim_cycle c 0 in
+  check Alcotest.bool "late claim unaffected" true (late >= 100);
+  check Alcotest.bool "early slot still free" true (early < 2)
 
 let contention_capacity_per_cycle () =
   let c = Contention.create ~capacity:3 in
-  let ts = List.init 7 (fun _ -> Contention.claim c 0.0) in
-  let at0 = List.length (List.filter (fun t -> t < 1.0) ts) in
+  let ts = List.init 7 (fun _ -> Contention.claim_cycle c 0) in
+  let at0 = List.length (List.filter (fun t -> t < 1) ts) in
   check Alcotest.int "three per cycle" 3 at0
 
 let contention_reset () =
   let c = Contention.create ~capacity:1 in
-  ignore (Contention.claim c 0.0);
+  ignore (Contention.claim_cycle c 0);
   Contention.reset c;
   check Alcotest.int "cleared" 0 (Contention.claimed c);
-  check Alcotest.bool "slot free again" true (Contention.claim c 0.0 < 1.0)
+  check Alcotest.bool "slot free again" true (Contention.claim_cycle c 0 < 1)
+
+let contention_below_floor_raises () =
+  let c = Contention.create ~capacity:2 in
+  ignore (Contention.claim_cycle c 30);
+  Contention.retire c 20;
+  ignore (Contention.claim_cycle c 20);
+  (* The floor never moves back. *)
+  Contention.retire c 10;
+  check Alcotest.bool "claim below the floor" true
+    (match Contention.claim_cycle c 19 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Contention.reset c;
+  check Alcotest.int "reset lowers the floor" 0 (Contention.claim_cycle c 0)
+
+(* The contention table against a naive slot map: one count per cycle in a
+   hashtable, and a claim scanning forward a cycle at a time. Claims start
+   at random offsets above a floor that only rises, some far enough out to
+   double the ring several times; retirements sometimes pass every booked
+   cycle, and resets reuse the table, sometimes at a new capacity. *)
+type contention_op = Claim of int | Retire of int | Reset of int option
+
+let print_contention_case (capacity, ops) =
+  let op = function
+    | Claim d -> Printf.sprintf "claim +%d" d
+    | Retire d -> Printf.sprintf "retire +%d" d
+    | Reset None -> "reset"
+    | Reset (Some c) -> Printf.sprintf "reset cap %d" c
+  in
+  Printf.sprintf "capacity %d: %s" capacity (String.concat "; " (List.map op ops))
+
+let gen_contention_case =
+  let open QCheck2.Gen in
+  let* capacity = int_range 1 8 in
+  let op =
+    frequency
+      [
+        (12, map (fun d -> Claim d) (int_range 0 12));
+        (2, map (fun d -> Claim d) (int_range 0 1500));
+        (3, map (fun d -> Retire d) (int_range 0 16));
+        (1, map (fun d -> Retire d) (int_range 0 3000));
+        (1, map (fun c -> Reset c) (opt (int_range 1 8)));
+      ]
+  in
+  let+ ops = list_size (int_range 1 400) op in
+  (capacity, ops)
+
+let contention_matches_naive_map =
+  QCheck2.Test.make ~name:"ring matches a naive slot map" ~count:300
+    ~print:print_contention_case gen_contention_case (fun (capacity, ops) ->
+      let t = Contention.create ~capacity in
+      let cap = ref capacity in
+      let counts = Hashtbl.create 64 in
+      let count c = Option.value (Hashtbl.find_opt counts c) ~default:0 in
+      let floor = ref 0 and claimed = ref 0 and slot = ref 0 in
+      let step = function
+        | Claim d ->
+          let c = ref (!floor + d) in
+          while count !c >= !cap do
+            incr c
+          done;
+          slot := count !c;
+          Hashtbl.replace counts !c (!slot + 1);
+          incr claimed;
+          Contention.claim_cycle t (!floor + d) = !c
+        | Retire d ->
+          floor := !floor + d;
+          Contention.retire t !floor;
+          true
+        | Reset c ->
+          Option.iter (fun c -> cap := c) c;
+          Hashtbl.reset counts;
+          floor := 0;
+          claimed := 0;
+          slot := 0;
+          Contention.reset ?capacity:c t;
+          true
+      in
+      List.for_all
+        (fun o ->
+          step o
+          && Contention.last_slot t = !slot
+          && Contention.claimed t = !claimed
+          && Contention.busy_cycles t = Hashtbl.length counts)
+        ops)
 
 let suites =
   [
@@ -631,5 +716,8 @@ let suites =
         Alcotest.test_case "late claim no blocking" `Quick contention_late_claim_no_blocking;
         Alcotest.test_case "capacity per cycle" `Quick contention_capacity_per_cycle;
         Alcotest.test_case "reset" `Quick contention_reset;
+        Alcotest.test_case "claim below the floor raises" `Quick
+          contention_below_floor_raises;
+        QCheck_alcotest.to_alcotest contention_matches_naive_map;
       ] );
   ]

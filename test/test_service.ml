@@ -472,6 +472,43 @@ let daemon_answers_and_salvages_ids () =
           | Some { Proto.rsp_id = 77; body = Proto.Err _ } -> ()
           | _ -> Alcotest.fail "salvaged id must come back on the error"))
 
+(* A line past the bound gets one bad_request and a closed connection; the
+   daemon itself keeps answering on a fresh one. *)
+let daemon_bounds_line_length () =
+  with_daemon (fun d ->
+      let connect () =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        (* A daemon still waiting for the newline fails the read, not the
+           suite's patience. *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+        Unix.connect fd (Unix.ADDR_UNIX (Mesad.socket_path d));
+        fd
+      in
+      let response fd =
+        Option.bind (read_line_fd fd) (fun l ->
+            Result.to_option (Result.bind (Json.of_string l) Proto.response_of_json))
+      in
+      let fd = connect () in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let long = Bytes.make (Mesad.max_line + 1) 'x' in
+          ignore (Unix.write fd long 0 (Bytes.length long));
+          (match response fd with
+          | Some { Proto.body = Proto.Err e; _ } ->
+            check Alcotest.string "bad_request" "bad_request"
+              (Proto.error_kind_to_string e.Proto.kind)
+          | _ -> Alcotest.fail "expected a bad_request response");
+          check Alcotest.bool "connection closed" true (read_line_fd fd = None));
+      let fd = connect () in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          send_line fd {|{"op":"ping","id":5}|};
+          match response fd with
+          | Some { Proto.rsp_id = 5; body = Proto.Pong } -> ()
+          | _ -> Alcotest.fail "expected a pong on a fresh connection"))
+
 let drain_loses_no_inflight_request () =
   with_daemon (fun d ->
       let got = ref None in
@@ -639,6 +676,8 @@ let suites =
       [
         Alcotest.test_case "answers, salvages ids, survives garbage" `Quick
           daemon_answers_and_salvages_ids;
+        Alcotest.test_case "over-long line is refused, daemon survives" `Quick
+          daemon_bounds_line_length;
         Alcotest.test_case "drain loses no in-flight request" `Slow
           drain_loses_no_inflight_request;
         Alcotest.test_case "seeded loadgen digest is deterministic" `Slow
